@@ -23,6 +23,7 @@ from .errors import (
     IntegratorFailure,
     NearPiRotation,
     NoConvergence,
+    NotRotation,
     NotSkew,
     OutOfChart,
     ParseError,
@@ -65,8 +66,6 @@ from .integrators import (
     lie_poisson_right_step,
     quadrotor_step,
     quat_rk4_step,
-    rigidbody_cay_step,
-    rigidbody_exp_step,
     rkmk4_step,
 )
 from .mechanics import (
@@ -106,7 +105,6 @@ from .odecore import (
 )
 from .so3 import (
     Ad_star_so3,
-    J_mat,
     Q_mat,
     Rotation,
     SE3Element,

@@ -16,6 +16,7 @@ recovers the doubles exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -175,7 +176,6 @@ class ScenarioConfig:
     steps: int
     theta: float = 0.5
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -184,8 +184,8 @@ class ScenarioConfig:
             raise UnknownKey(f"unknown integrator {self.integrator!r}")
         if self.integrator not in COMPAT[self.scenario]:
             raise IncompatiblePair(self.scenario, self.integrator)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
@@ -194,8 +194,29 @@ class ScenarioConfig:
         for key, value in self.params.items():
             if key not in merged:
                 raise UnknownKey(f"unknown key {key!r} for scenario {self.scenario!r}")
+            _check_param(key, merged[key], value)
             merged[key] = value
         object.__setattr__(self, "params", merged)
+
+
+def _check_param(key: str, default, value) -> None:
+    """Reject a model parameter that is not finite or not shaped like its default."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{key} expects {len(default)} components, got {value!r}")
+        if len(value) != len(default):
+            raise ValueError(
+                f"{key} expects {len(default)} components, got {len(value)}"
+            )
+        items = value
+    else:
+        # a None default (quadrotor thrust F) means "derive it"; None stays allowed
+        items = () if default is None and value is None else (value,)
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise ValueError(f"{key} must be numeric, got {value!r}")
+        if not math.isfinite(item):
+            raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 def default_config(scenario: str, integrator: str, **overrides) -> ScenarioConfig:
@@ -207,7 +228,6 @@ def default_config(scenario: str, integrator: str, **overrides) -> ScenarioConfi
         "dt": overrides.pop("dt", base["dt"]),
         "steps": overrides.pop("steps", base["steps"]),
         "theta": overrides.pop("theta", 0.5),
-        "seed": overrides.pop("seed", 0),
         "params": overrides.pop("params", {}),
     }
     if overrides:
@@ -269,14 +289,12 @@ def parse_config(
     dt = float(raw.pop("dt", base["dt"]))
     steps = int(raw.pop("steps", base["steps"]))
     theta = float(raw.pop("theta", 0.5))
-    seed = int(raw.pop("seed", 0))
     return ScenarioConfig(
         scenario=scenario,
         integrator=integrator,
         dt=dt,
         steps=steps,
         theta=theta,
-        seed=seed,
         params=raw,
     )
 
@@ -299,37 +317,25 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
         return lambda x: ode.rk_step(tab, f, x, dt)
 
     # split-variable schemes: state is the concatenation (q, p)
-    def split(x):
-        half = x.size // 2
-        return x[:half], x[half:]
-
     if name == "sympl_euler_a":
-        def step(x):
-            q, p = split(x)
-            qn, pn = ode.symplectic_euler_a_step(f1, f2, q, p, dt)
-            return np.concatenate([qn, pn])
-        return step
-    if name == "sympl_euler_b":
-        def step(x):
-            q, p = split(x)
-            qn, pn = ode.symplectic_euler_b_step(f1, f2, q, p, dt)
-            return np.concatenate([qn, pn])
-        return step
-    if name == "stormer_verlet":
+        pair = lambda q, p: ode.symplectic_euler_a_step(f1, f2, q, p, dt)
+    elif name == "sympl_euler_b":
+        pair = lambda q, p: ode.symplectic_euler_b_step(f1, f2, q, p, dt)
+    elif name == "stormer_verlet":
         ptab = ode.stormer_verlet_tableau()
-        def step(x):
-            q, p = split(x)
-            qn, pn = ode.prk_step(ptab, f1, f2, q, p, dt)
-            return np.concatenate([qn, pn])
-        return step
-    if name == "theta_family":
+        pair = lambda q, p: ode.prk_step(ptab, f1, f2, q, p, dt)
+    elif name == "theta_family":
         theta = config.theta
-        def step(x):
-            q, p = split(x)
-            qn, pn = gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
-            return np.concatenate([qn, pn])
-        return step
-    raise IncompatiblePair(config.scenario, name)
+        pair = lambda q, p: gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
+    else:
+        raise IncompatiblePair(config.scenario, name)
+
+    def step(x):
+        half = x.size // 2
+        qn, pn = pair(x[:half], x[half:])
+        return np.concatenate([qn, pn])
+
+    return step
 
 
 def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
@@ -373,8 +379,6 @@ def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     step = _flat_stepper(config, f, f1, f2)
     cols = _COLUMNS["kepler"]
     x = np.asarray(p["x0"], dtype=float)
-    if x.shape != (4,):
-        raise UnknownKey("kepler x0 must have four components")
     for k in range(1, config.steps + 1):
         x = step(x)
         yield TrajectoryRecord(

@@ -27,6 +27,10 @@ class SingularMatrix(GeomintError):
     """3x3 solve with |det| below the 1e-14 guard."""
 
 
+class NotRotation(GeomintError, ValueError):
+    """Matrix fails the Rotation check: non-finite, non-orthogonal or det != 1."""
+
+
 class OutOfChart(GeomintError):
     """Group displacement left the injectivity domain of the retraction."""
 

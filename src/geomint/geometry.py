@@ -60,7 +60,7 @@ class TrivializedRetraction:
 
     tau(0) = I and tau is first-order tangent, so left translation
     R^L(g, xi) = g tau(xi) is a left-trivialized retraction.  ``tag`` selects
-    the matching logarithmic-derivative matrices for the momentum relations.
+    the matching dual logarithmic-derivative matrix for the momentum relations.
     """
 
     tau: Callable[[Vec3], Rotation]
@@ -75,20 +75,6 @@ class TrivializedRetraction:
         mat, s = so3.dcay_dual_matrix(half)
         # dual of tau(xi) = cay(xi/2) picks up the chain-rule factor 1/2
         return so3.mat_scale(mat, 0.5 / s)
-
-    def dlog_matrix(self, xi: Vec3) -> Mat3:
-        """Matrix of the left logarithmic derivative itself at xi."""
-        if self.tag == EXP_TAG:
-            return so3.dexp_left_matrix(xi)
-        # normalized Cayley: (I - hat(xi/2)) / (1 + |xi|^2/4)
-        x, y, z = xi
-        c = 1.0 / (1.0 + 0.25 * (x * x + y * y + z * z))
-        h = 0.5 * c
-        return (
-            (c, h * z, -h * y),
-            (-h * z, c, h * x),
-            (h * y, -h * x, c),
-        )
 
 
 def exp_retraction() -> TrivializedRetraction:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .errors import NoConvergence
+from .errors import NoConvergence, OutOfChart
 from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
@@ -114,8 +114,6 @@ __all__ = [
     "cotangent_theta_step",
     "lie_poisson_left_step",
     "lie_poisson_right_step",
-    "rigidbody_exp_step",
-    "rigidbody_cay_step",
     "heavytop_exp_step",
     "heavytop_cay_step",
     "quadrotor_step",
@@ -245,18 +243,13 @@ def cotangent_theta_step(
 
 # --- shared rotational kernels --------------------------------------------------------
 
-def _exp_T_apply(y: Vec3, v: Vec3) -> Vec3:
-    """exp(hat(y))^T @ v = exp(-hat(y)) @ v."""
-    theta = norm(y)
-    s = _sinc(theta)
-    a = _coeff_a(theta)
-    c1 = cross(y, v)
-    c2 = cross(y, c1)
-    return (
-        v[0] - s * c1[0] + a * c2[0],
-        v[1] - s * c1[1] + a * c2[1],
-        v[2] - s * c1[2] + a * c2[2],
-    )
+def _check_exp_chart(theta: float) -> None:
+    """A converged exp root with |dt Omega| >= pi lies outside the chart; reject it."""
+    if theta >= math.pi:
+        raise OutOfChart(
+            f"exp step |dt*Omega| = {theta:.6g} >= pi = {math.pi:.6g}; "
+            "the root lies outside the retraction's chart"
+        )
 
 
 def _solve_body_omega(
@@ -297,6 +290,8 @@ def _solve_body_omega(
         i_omega = mat_vec(inertia, omega)
         res = (lhs[0] - i_omega[0], lhs[1] - i_omega[1], lhs[2] - i_omega[2])
         if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
+            if exp_tag:
+                _check_exp_chart(theta)
             return omega
 
         cols = []
@@ -397,35 +392,8 @@ def lie_poisson_right_step(
     """
     pi_spatial = so3.as_vec3(Pi)
     pi_body = mat_T_vec(R.m, pi_spatial)
-    omega = _solve_body_omega(params, pi_body, dt, ret.tag, settings)
-    w = _tau_matrix(ret.tag, vec_scale(omega, dt))
-    return Rotation(so3.mat_mul(R.m, w)), pi_spatial
-
-
-def rigidbody_exp_step(
-    params: RigidBodyParams,
-    R: Rotation,
-    Pi: Vec3,
-    dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
-) -> tuple[Rotation, Vec3]:
-    """Explicit exponential-map specialization of the left Lie-Poisson step."""
-    pi = so3.as_vec3(Pi)
-    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, EXP_TAG, settings)
-    return Rotation(r_new), pi_new
-
-
-def rigidbody_cay_step(
-    params: RigidBodyParams,
-    R: Rotation,
-    Pi: Vec3,
-    dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
-) -> tuple[Rotation, Vec3]:
-    """Cayley-map specialization; step rotation cay_so3(dt Omega / 2)."""
-    pi = so3.as_vec3(Pi)
-    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, CAYLEY_TAG, settings)
-    return Rotation(r_new), pi_new
+    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret.tag, settings)
+    return Rotation(r_new), pi_spatial
 
 
 # --- heavy top ---------------------------------------------------------------------------
@@ -438,7 +406,6 @@ def _heavytop_eval(
     dt: float,
     z: Vec3,
     tag: str,
-    transport: str,
 ) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Residual plus translation leg and transported momenta for one guess.
 
@@ -499,21 +466,17 @@ def _heavytop_eval(
              c2w * (z[1] + wz[1] + wdz * w[1]),
              c2w * (z[2] + wz[2] + wdz * w[2]))
         lifted = vec_add(pi, cross(gamma, d))
-        if transport == EXP_TAG:
-            pi_new = _exp_T_apply(y, lifted)
-            gamma_new = _exp_T_apply(y, gamma)
-        else:
-            # Cay(hat(w))^T v = v - 2 c (w x v - w x (w x v)) with c = c2w
-            lv = cross(w, lifted)
-            lvv = cross(w, lv)
-            pi_new = (lifted[0] - 2.0 * c2w * (lv[0] - lvv[0]),
-                      lifted[1] - 2.0 * c2w * (lv[1] - lvv[1]),
-                      lifted[2] - 2.0 * c2w * (lv[2] - lvv[2]))
-            gv = cross(w, gamma)
-            gvv = cross(w, gv)
-            gamma_new = (gamma[0] - 2.0 * c2w * (gv[0] - gvv[0]),
-                         gamma[1] - 2.0 * c2w * (gv[1] - gvv[1]),
-                         gamma[2] - 2.0 * c2w * (gv[2] - gvv[2]))
+        # Cay(hat(w))^T v = v - 2 c (w x v - w x (w x v)) with c = c2w
+        lv = cross(w, lifted)
+        lvv = cross(w, lv)
+        pi_new = (lifted[0] - 2.0 * c2w * (lv[0] - lvv[0]),
+                  lifted[1] - 2.0 * c2w * (lv[1] - lvv[1]),
+                  lifted[2] - 2.0 * c2w * (lv[2] - lvv[2]))
+        gv = cross(w, gamma)
+        gvv = cross(w, gv)
+        gamma_new = (gamma[0] - 2.0 * c2w * (gv[0] - gvv[0]),
+                     gamma[1] - 2.0 * c2w * (gv[1] - gvv[1]),
+                     gamma[2] - 2.0 * c2w * (gv[2] - gvv[2]))
         # momentum relation: c (I + hat(w)) (Pi' + z x Gamma'/2) = I Omega
         inner = vec_add(pi_new, vec_scale(cross(z, gamma_new), 0.5))
         wi = cross(w, inner)
@@ -532,18 +495,16 @@ def _solve_heavytop_omega(
     dt: float,
     z: Vec3,
     tag: str,
-    transport: str,
     settings: NewtonSettings,
-    omega_guess: Vec3 | None,
 ) -> Vec3:
     """Fixed-point iteration with a finite-difference Newton fallback."""
     inertia = params.inertia
     inv = params.inertia_inv
-    omega = omega_guess if omega_guess is not None else mat_vec(inv, pi)
+    omega = mat_vec(inv, pi)
     tol = settings.tol
     fp_budget = max(12, settings.max_iter // 2)
     for _ in range(fp_budget):
-        res, _, _, _ = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag, transport)
+        res, _, _, _ = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
         if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
             return omega
         omega = vec_add(omega, mat_vec(inv, res))
@@ -551,7 +512,7 @@ def _solve_heavytop_omega(
     # stiff parameters: fall back to Newton on the same residual
     def residual(arr: np.ndarray) -> np.ndarray:
         r, _, _, _ = _heavytop_eval(
-            inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag, transport
+            inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag
         )
         return np.array(r)
 
@@ -564,20 +525,18 @@ def _heavytop_step(
     state: HeavyTopState,
     dt: float,
     tag: str,
-    transport: str,
     settings: NewtonSettings,
-    omega_guess: Vec3 | None,
 ) -> HeavyTopState:
     pi, gamma = state.Pi, state.Gamma
     z = vec_scale(params.chi, dt * params.m * params.g)
-    omega = _solve_heavytop_omega(
-        params, pi, gamma, dt, z, tag, transport, settings, omega_guess
-    )
+    omega = _solve_heavytop_omega(params, pi, gamma, dt, z, tag, settings)
+    y = vec_scale(omega, dt)
+    if tag == EXP_TAG:
+        _check_exp_chart(norm(y))
     _, d, pi_new, gamma_new = _heavytop_eval(
-        params.inertia, pi, gamma, omega, dt, z, tag, transport
+        params.inertia, pi, gamma, omega, dt, z, tag
     )
-    w = _tau_matrix(tag, vec_scale(omega, dt))
-    r_new = so3.mat_mul(state.R.m, w)
+    r_new = so3.mat_mul(state.R.m, _tau_matrix(tag, y))
     x_new = vec_add(state.x, mat_vec(state.R.m, d))
     return HeavyTopState(R=Rotation(r_new), x=x_new, Pi=pi_new, Gamma=gamma_new)
 
@@ -587,7 +546,6 @@ def heavytop_exp_step(
     state: HeavyTopState,
     dt: float,
     settings: NewtonSettings = DEFAULT_NEWTON,
-    omega_guess: Vec3 | None = None,
 ) -> HeavyTopState:
     """Exponential-map heavy-top step on the semidirect product.
 
@@ -595,7 +553,7 @@ def heavytop_exp_step(
     Gamma-orthogonal momentum shift); with chi = 0 it reduces to the free
     rigid-body exponential step plus x' = x.
     """
-    return _heavytop_step(params, state, dt, EXP_TAG, EXP_TAG, settings, omega_guess)
+    return _heavytop_step(params, state, dt, EXP_TAG, settings)
 
 
 def heavytop_cay_step(
@@ -603,20 +561,9 @@ def heavytop_cay_step(
     state: HeavyTopState,
     dt: float,
     settings: NewtonSettings = DEFAULT_NEWTON,
-    transport: str = "cay",
-    omega_guess: Vec3 | None = None,
 ) -> HeavyTopState:
-    """Cayley-map heavy-top step.
-
-    ``transport`` selects the rotation used in the momentum/advected-vector
-    updates: "cay" (default, internally consistent) or "exp" (a historical
-    variant that mixes the exponential into those two lines).  Both conserve
-    the Casimirs exactly.
-    """
-    if transport not in ("cay", "exp"):
-        raise ValueError("transport must be 'cay' or 'exp'")
-    mode = EXP_TAG if transport == "exp" else CAYLEY_TAG
-    return _heavytop_step(params, state, dt, CAYLEY_TAG, mode, settings, omega_guess)
+    """Cayley-map heavy-top step; both Casimirs are conserved exactly."""
+    return _heavytop_step(params, state, dt, CAYLEY_TAG, settings)
 
 
 # --- quadrotor ----------------------------------------------------------------------------
@@ -750,37 +697,35 @@ def _quat_kinematics(q, omega: Vec3):
     )
 
 
-def quat_rk4_step(params, state, dt: float):
-    """Classical RK4 on quaternion attitude plus momenta, renormalized.
+def _rk4_baseline(params, state, a0, rate, dt: float):
+    """Classical RK4 on (a, Pi) or (a, Pi, Gamma), the stage driver of both baselines.
 
-    Accepts a RigidBodyState with RigidBodyParams or a HeavyTopState with
-    HeavyTopParams.  The quaternion is renormalized after the step, so the
-    returned attitude is orthogonal by construction; the momenta follow the
-    plain RK4 stages and their Casimirs drift over long runs.
+    ``a`` is the attitude coordinate with a_dot = rate(a, Omega); the momenta
+    follow Euler's equations, with gravity and the advected vertical for a
+    HeavyTopState.  Returns the advanced tuple.
     """
-    heavy = isinstance(state, HeavyTopState)
     inv = params.inertia_inv
-    if heavy:
+    if isinstance(state, HeavyTopState):
         mgchi = vec_scale(params.chi, params.m * params.g)
 
         def derivative(yv):
-            q, pi, gamma = yv
+            a, pi, gamma = yv
             omega = mat_vec(inv, pi)
             return (
-                _quat_kinematics(q, omega),
+                rate(a, omega),
                 vec_add(cross(pi, omega), cross(gamma, mgchi)),
                 cross(gamma, omega),
             )
 
-        y0 = (_quat_from_mat(state.R.m), state.Pi, state.Gamma)
+        y0 = (a0, state.Pi, state.Gamma)
     else:
 
         def derivative(yv):
-            q, pi = yv
+            a, pi = yv
             omega = mat_vec(inv, pi)
-            return (_quat_kinematics(q, omega), cross(pi, omega))
+            return (rate(a, omega), cross(pi, omega))
 
-        y0 = (_quat_from_mat(state.R.m), state.Pi)
+        y0 = (a0, state.Pi)
 
     def axpy(y, k, c):
         return tuple(
@@ -792,7 +737,7 @@ def quat_rk4_step(params, state, dt: float):
     k2 = derivative(axpy(y0, k1, 0.5 * dt))
     k3 = derivative(axpy(y0, k2, 0.5 * dt))
     k4 = derivative(axpy(y0, k3, dt))
-    y_new = tuple(
+    return tuple(
         tuple(
             yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y0c, k1c, k2c, k3c, k4c)
@@ -800,13 +745,29 @@ def quat_rk4_step(params, state, dt: float):
         for y0c, k1c, k2c, k3c, k4c in zip(y0, k1, k2, k3, k4)
     )
 
+
+def _baseline_state(state, r_new: Rotation, y_new):
+    """State of the input's type from the new attitude and the RK4 momenta."""
+    if isinstance(state, HeavyTopState):
+        return _drifted_heavytop_state(r_new, state.x, y_new[1], y_new[2])
+    return RigidBodyState(R=r_new, Pi=y_new[1])
+
+
+def quat_rk4_step(params, state, dt: float):
+    """Classical RK4 on quaternion attitude plus momenta, renormalized.
+
+    Accepts a RigidBodyState with RigidBodyParams or a HeavyTopState with
+    HeavyTopParams.  The quaternion is renormalized after the step, so the
+    returned attitude is orthogonal by construction; the momenta follow the
+    plain RK4 stages and their Casimirs drift over long runs.
+    """
+    y_new = _rk4_baseline(
+        params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt
+    )
     q = y_new[0]
     qn = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     q = (q[0] / qn, q[1] / qn, q[2] / qn, q[3] / qn)
-    r_new = Rotation(_mat_from_quat(q))
-    if heavy:
-        return _drifted_heavytop_state(r_new, state.x, y_new[1], y_new[2])
-    return RigidBodyState(R=r_new, Pi=y_new[1])
+    return _baseline_state(state, Rotation(_mat_from_quat(q)), y_new)
 
 
 # --- Runge-Kutta-Munthe-Kaas baseline ----------------------------------------------------------
@@ -836,50 +797,6 @@ def rkmk4_step(params, state, dt: float):
     back with R' = R exp(hat(u)).  The group constraint holds to roundoff;
     energy and Casimirs are not preserved.
     """
-    heavy = isinstance(state, HeavyTopState)
-    inv = params.inertia_inv
-    if heavy:
-        mgchi = vec_scale(params.chi, params.m * params.g)
-
-        def derivative(yv):
-            u, pi, gamma = yv
-            omega = mat_vec(inv, pi)
-            return (
-                _dexpinv_apply(u, omega),
-                vec_add(cross(pi, omega), cross(gamma, mgchi)),
-                cross(gamma, omega),
-            )
-
-        y0 = ((0.0, 0.0, 0.0), state.Pi, state.Gamma)
-    else:
-
-        def derivative(yv):
-            u, pi = yv
-            omega = mat_vec(inv, pi)
-            return (_dexpinv_apply(u, omega), cross(pi, omega))
-
-        y0 = ((0.0, 0.0, 0.0), state.Pi)
-
-    def axpy(y, k, c):
-        return tuple(
-            tuple(yi + c * ki for yi, ki in zip(comp_y, comp_k))
-            for comp_y, comp_k in zip(y, k)
-        )
-
-    k1 = derivative(y0)
-    k2 = derivative(axpy(y0, k1, 0.5 * dt))
-    k3 = derivative(axpy(y0, k2, 0.5 * dt))
-    k4 = derivative(axpy(y0, k3, dt))
-    y_new = tuple(
-        tuple(
-            yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y0c, k1c, k2c, k3c, k4c)
-        )
-        for y0c, k1c, k2c, k3c, k4c in zip(y0, k1, k2, k3, k4)
-    )
-
-    u = y_new[0]
-    r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(u)))
-    if heavy:
-        return _drifted_heavytop_state(r_new, state.x, y_new[1], y_new[2])
-    return RigidBodyState(R=r_new, Pi=y_new[1])
+    y_new = _rk4_baseline(params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
+    r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y_new[0])))
+    return _baseline_state(state, r_new, y_new)

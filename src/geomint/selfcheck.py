@@ -44,7 +44,7 @@ def _fd_dlog(tau_matrix, y, eta, h=1e-5):
 
 def _check_dual_pairings() -> bool:
     rng = random.Random(1234)
-    for _ in range(25):
+    for _ in range(30):
         y = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
         mu = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
         eta = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
@@ -63,7 +63,7 @@ def _check_dual_pairings() -> bool:
 def _check_round_trips() -> bool:
     rng = random.Random(99)
     for _ in range(50):
-        v = tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+        v = tuple(rng.uniform(-1.5, 1.5) for _ in range(3))
         back = log_so3(exp_so3(v))
         if max(abs(back[i] - v[i]) for i in range(3)) > 1e-10:
             return False
@@ -77,7 +77,7 @@ def _check_theta_endpoints() -> bool:
     f1 = lambda q, v: np.asarray(v, dtype=float)
     f2 = lambda q, v: -np.asarray(q, dtype=float)
     q = np.array([1.0])
-    p = np.array([0.0])
+    p = np.array([0.4])
     qa, pa = ode.symplectic_euler_a_step(f1, f2, q, p, 0.1)
     q0, p0 = cotangent_theta_step(f1, f2, q, p, 0.1, 0.0)
     qb, pb = ode.symplectic_euler_b_step(f1, f2, q, p, 0.1)
@@ -118,7 +118,7 @@ def _check_symplectic_prk() -> bool:
 
 def _check_local_maps() -> bool:
     rng = np.random.default_rng(7)
-    pt = geo.LocalSecondOrderPoint(*(rng.standard_normal(3) for _ in range(4)))
+    pt = geo.LocalSecondOrderPoint(*(rng.standard_normal(4) for _ in range(4)))
     twice = geo.canonical_flip(geo.canonical_flip(pt))
     if not all(
         np.array_equal(a, b) for a, b in zip(pt.as_tuple(), twice.as_tuple())

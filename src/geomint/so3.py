@@ -23,7 +23,7 @@ the left logarithmic derivative of the exponential map is the matrix
 
     dexp_dual_matrix(y) = I + a*hat(y) + b*hat(y)^2,
 
-which coincides with the translation block ``J_mat`` of the SE(3) matrix
+which coincides with the translation block of the SE(3) matrix
 exponential.  Both facts are enforced in the test suite by finite-difference
 dual-pairing and series oracles.  Note the sign of the ``hat(y)`` term: the
 dual carries ``+a``, the left logarithmic derivative itself carries ``-a``.
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NearPiRotation, NotSkew, SingularCayley, SingularMatrix
+from .errors import NearPiRotation, NotRotation, NotSkew, SingularCayley, SingularMatrix
 
 Vec3 = tuple[float, float, float]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -423,17 +423,12 @@ def dexp_dual_matrix(y: Vec3) -> Mat3:
     Returns I + a(theta) hat(y) + b(theta) hat(y)^2 with theta = |y|; the
     hat(y) coefficient tends to 1/2 as y -> 0.  Satisfies the pairing
     <dexp_dual_matrix(y) @ mu, eta> = <mu, dL_exp(y)(eta)> where dL_exp is the
-    left logarithmic derivative (the matrix with the -a sign), and coincides
-    with J_mat, the SE(3)-exponential translation block.
+    left logarithmic derivative (the matrix with the -a sign).  It is also
+    the translation block of the SE(3) matrix exponential: exp of the 4x4
+    twist ((hat(y), z), 0) has translation dexp_dual_matrix(y) @ z.
     """
     theta = norm(y)
     return _abc_matrix(y, _coeff_a(theta), _coeff_b(theta))
-
-
-def dexp_left_matrix(y: Vec3) -> Mat3:
-    """Left logarithmic derivative of exp_so3: I - a hat(y) + b hat(y)^2."""
-    theta = norm(y)
-    return _abc_matrix(y, -_coeff_a(theta), _coeff_b(theta))
 
 
 def dcay_dual_matrix(y: Vec3) -> tuple[Mat3, float]:
@@ -454,18 +449,8 @@ def dcay_dual_matrix(y: Vec3) -> tuple[Mat3, float]:
     return mat, s
 
 
-def J_mat(y: Vec3) -> Mat3:
-    """Translation block of the SE(3) matrix exponential.
-
-    exp of the 4x4 twist ((hat(y), z), 0) has translation J_mat(y) @ z.  The
-    hat(y) coefficient a(theta) tends to 1/2; the series oracle in the tests
-    pins this normalization.  Identical to dexp_dual_matrix.
-    """
-    return dexp_dual_matrix(y)
-
-
 def Q_mat(y: Vec3, z: Vec3) -> Mat3:
-    """Directional derivative of J_mat at y in direction z, linear in z.
+    """Directional derivative of dexp_dual_matrix at y in direction z, linear in z.
 
     Q(y, z) = a hat(z) + b (hat(y)hat(z) + hat(z)hat(y))
               + (a'/theta) (y.z) hat(y) + (b'/theta) (y.z) hat(y)^2.
@@ -513,13 +498,13 @@ class Rotation:
     def __post_init__(self):
         m = self.m
         if not mat_is_finite(m):
-            raise ValueError("rotation matrix has non-finite entries")
+            raise NotRotation("rotation matrix has non-finite entries")
         defect = orthogonality_defect_mat(m)
         if defect > 1e-9:
-            raise ValueError(f"orthogonality defect {defect:.3e} exceeds 1e-9")
+            raise NotRotation(f"orthogonality defect {defect:.3e} exceeds 1e-9")
         det = mat_det(m)
         if abs(det - 1.0) > 1e-9:
-            raise ValueError(f"determinant {det!r} not within 1e-9 of 1")
+            raise NotRotation(f"determinant {det!r} not within 1e-9 of 1")
 
     @staticmethod
     def identity() -> "Rotation":

@@ -6,29 +6,20 @@ the whole suite stays within desk-scale memory.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 
-from geomint import bench, so3
+from geomint import bench, selfcheck
 from geomint import mechanics as mech
 from geomint import odecore as ode
 from geomint.bench import default_config, iter_scenario, run_scenario, summarize_drift
-from geomint.geometry import (
-    LocalSecondOrderPoint,
-    alpha_local,
-    alpha_local_inverse,
-    beta_local,
-    beta_local_inverse,
-    canonical_flip,
-)
+from geomint.geometry import exp_retraction
 from geomint.integrators import (
     QuadrotorInput,
     QuadrotorState,
-    cotangent_theta_step,
+    lie_poisson_left_step,
     quadrotor_step,
-    rigidbody_exp_step,
 )
 from geomint.mechanics import QuadrotorParams, RigidBodyParams
 from geomint.so3 import Rotation, exp_so3
@@ -366,11 +357,12 @@ def test_criterion_6_quadrotor_hover():
     state = QuadrotorState(
         R=Rotation.identity(), Pi=(1.0, 1.0, 1.0), q=(0.0, 0.0, 1.0), p=(0.0, 0.0, 0.0)
     )
+    ret = exp_retraction()
     r, pi = state.R, state.Pi
     mismatch = None
     for k in range(180000):
         state = quadrotor_step(params, state, u, 0.01)
-        r, pi = rigidbody_exp_step(rb_params, r, pi, 0.01)
+        r, pi = lie_poisson_left_step(rb_params, ret, r, pi, 0.01)
         if state.R.m != r.m or state.Pi != pi:
             mismatch = k + 1
             break
@@ -383,97 +375,6 @@ def test_criterion_6_quadrotor_hover():
 # --- criterion 7: oracle suites ------------------------------------------------------------------
 
 def test_criterion_7_oracle_suites():
-    failures = []
-    rng = random.Random(2024)
-
-    def rand_vec(scale=2.0):
-        return tuple(rng.uniform(-scale, scale) for _ in range(3))
-
-    def fd_dlog(tau_matrix, y, eta, h=1e-5):
-        rp = tau_matrix(so3.vec_add(y, so3.vec_scale(eta, h)))
-        rm = tau_matrix(so3.vec_sub(y, so3.vec_scale(eta, h)))
-        diff = tuple(
-            tuple((rp[i][j] - rm[i][j]) / (2.0 * h) for j in range(3))
-            for i in range(3)
-        )
-        return so3._vee_unchecked(
-            so3.mat_mul(so3.mat_transpose(tau_matrix(y)), diff)
-        )
-
-    for _ in range(30):
-        y, mu, eta = rand_vec(), rand_vec(), rand_vec()
-        lhs = so3.dot(so3.mat_vec(so3.dexp_dual_matrix(y), mu), eta)
-        rhs = so3.dot(mu, fd_dlog(so3._exp_matrix, y, eta))
-        if abs(lhs - rhs) > 1e-6:
-            failures.append("dexp dual pairing beyond 1e-6")
-            break
-        mat, s = so3.dcay_dual_matrix(y)
-        lhs = so3.dot(so3.vec_scale(so3.mat_vec(mat, mu), 1.0 / s), eta)
-        rhs = so3.dot(mu, fd_dlog(so3._cay_matrix, y, eta))
-        if abs(lhs - rhs) > 1e-6:
-            failures.append("dcay dual pairing beyond 1e-6")
-            break
-
-    for _ in range(30):
-        v = rand_vec(1.5)
-        back = so3.log_so3(so3.exp_so3(v))
-        if max(abs(back[i] - v[i]) for i in range(3)) > 1e-10:
-            failures.append("exp/log round trip beyond 1e-10")
-            break
-        back = so3.cay_inv_so3(so3.cay_so3(v))
-        if max(abs(back[i] - v[i]) for i in range(3)) > 1e-10:
-            failures.append("cay round trip beyond 1e-10")
-            break
-
-    # theta endpoints coincide with symplectic Euler A/B
-    f1 = lambda q, p: np.asarray(p, dtype=float)
-    f2 = lambda q, p: -np.asarray(q, dtype=float)
-    q0, p0 = np.array([1.0]), np.array([0.4])
-    qa, pa = ode.symplectic_euler_a_step(f1, f2, q0, p0, 0.1)
-    qt, pt = cotangent_theta_step(f1, f2, q0, p0, 0.1, 0.0)
-    if not (np.array_equal(qa, qt) and np.array_equal(pa, pt)):
-        failures.append("theta = 0 differs from symplectic Euler A")
-    qb, pb = ode.symplectic_euler_b_step(f1, f2, q0, p0, 0.1)
-    qt, pt = cotangent_theta_step(f1, f2, q0, p0, 0.1, 1.0)
-    if not (np.array_equal(qb, qt) and np.array_equal(pb, pt)):
-        failures.append("theta = 1 differs from symplectic Euler B")
-
-    # coefficient checkers accept/reject the stock tableaux
-    euler = ode.explicit_euler_tableau()
-    rk4 = ode.rk4_tableau()
-    underweight = ode.ButcherTableau(a=[[0.0, 0.0], [0.5, 0.0]], b=[0.4, 0.4])
-    if not ode.check_order_conditions(euler, 1):
-        failures.append("explicit Euler rejected at order 1")
-    if ode.check_order_conditions(euler, 2):
-        failures.append("explicit Euler accepted at order 2")
-    if not all(ode.check_order_conditions(rk4, k) for k in (1, 2, 3)):
-        failures.append("RK4 rejected below order 4")
-    if ode.check_order_conditions(underweight, 1):
-        failures.append("b = (0.4, 0.4) accepted at order 1")
-    if not ode.check_symplectic_prk(ode.symplectic_euler_tableau()):
-        failures.append("symplectic Euler tableau rejected")
-    if not ode.check_symplectic_prk(ode.stormer_verlet_tableau()):
-        failures.append("Stormer-Verlet tableau rejected")
-    mp = ode.rk2_midpoint_tableau()
-    if ode.check_symplectic_prk(
-        ode.PartitionedTableau(a=mp.a, b=mp.b, a_hat=mp.a, b_hat=mp.b)
-    ):
-        failures.append("doubled midpoint tableau accepted")
-
-    # flip involution and alpha/beta bijections, exact
-    rng_np = np.random.default_rng(5)
-    pt = LocalSecondOrderPoint(*(rng_np.standard_normal(4) for _ in range(4)))
-    for a, b in zip(pt.as_tuple(), canonical_flip(canonical_flip(pt)).as_tuple()):
-        if not np.array_equal(a, b):
-            failures.append("canonical flip not an involution")
-            break
-    for a, b in zip(pt.as_tuple(), alpha_local_inverse(alpha_local(pt)).as_tuple()):
-        if not np.array_equal(a, b):
-            failures.append("alpha inverse fails")
-            break
-    for a, b in zip(pt.as_tuple(), beta_local_inverse(beta_local(pt)).as_tuple()):
-        if not np.array_equal(a, b):
-            failures.append("beta inverse fails")
-            break
-
+    # the oracles are defined once, in selfcheck; each failing check is named
+    failures = [name for name, check in selfcheck.CHECKS if not check()]
     _report("criterion 7: oracle suites", failures)

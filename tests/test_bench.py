@@ -68,8 +68,15 @@ class TestConfig:
                 scenario="harmonic", integrator="rk4", dt=0.1, steps=10,
                 params={"bogus": 1.0},
             )
+        # seed drives nothing, so it is not a config key
+        with pytest.raises(UnknownKey):
+            parse_config(
+                None, {"scenario": "harmonic", "integrator": "rk4", "seed": 3.0}
+            )
+        with pytest.raises(UnknownKey):
+            default_config("harmonic", "rk4", seed=3)
 
-    def test_validation(self):
+    def test_validation(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="harmonic", integrator="rk4", dt=0.0, steps=10)
         with pytest.raises(ValueError):
@@ -78,6 +85,35 @@ class TestConfig:
             ScenarioConfig(
                 scenario="harmonic", integrator="rk4", dt=0.1, steps=10, theta=1.5
             )
+        with pytest.raises(ValueError, match="dt"):
+            ScenarioConfig(
+                scenario="harmonic", integrator="rk4", dt=float("inf"), steps=10
+            )
+        with pytest.raises(ValueError, match="k must be finite"):
+            default_config("harmonic", "rk4", params={"k": float("nan")})
+        with pytest.raises(ValueError, match="k must be numeric"):
+            default_config("harmonic", "rk4", params={"k": "stiff"})
+        with pytest.raises(ValueError, match="Pi0 expects 3 components, got 2"):
+            default_config("rigidbody", "lp_exp", params={"Pi0": (1.0, 1.0)})
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            default_config(
+                "kepler", "rk4", params={"x0": (1.0, 0.0, float("inf"), 0.5)}
+            )
+        # the same inputs through the CLI, plus the model checks made when the
+        # run is set up, exit 1 without writing a CSV
+        out = tmp_path / "x.csv"
+        for args in (
+            ["--scenario", "harmonic", "--integrator", "rk4", "--dt", "inf"],
+            ["--scenario", "harmonic", "--integrator", "rk4", "--param", "k=nan"],
+            ["--scenario", "rigidbody", "--integrator", "lp_exp", "--param", "Pi0=1,1"],
+            ["--scenario", "rigidbody", "--integrator", "lp_exp", "--param", "I1=-1"],
+            ["--scenario", "heavytop", "--integrator", "lp_exp",
+             "--param", "Gamma0=0,0,2"],
+        ):
+            code = cli.main(["run", *args, "--steps", "5", "--out", str(out)])
+            assert code == 1, args
+            assert "error" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestParseConfig:
@@ -334,14 +370,31 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_integrator_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scenario, integrator, dt, cause",
+        [
+            ("kepler", "implicit_euler", "50.0", "no convergence"),
+            # the Rotation check fails inside the step loop
+            ("rigidbody", "quat_rk4", "1e3", "rotation matrix"),
+            # Newton converges to a spurious root past the exp chart
+            ("rigidbody", "lp_exp", "50", "outside the retraction's chart"),
+        ],
+        ids=["kepler_no_convergence", "rotation_check", "exp_out_of_chart"],
+    )
+    def test_integrator_failure_exit_code(
+        self, tmp_path, capsys, scenario, integrator, dt, cause
+    ):
+        out = tmp_path / "x.csv"
         code = cli.main(
             [
-                "run", "--scenario", "kepler", "--integrator", "implicit_euler",
-                "--dt", "50.0", "--steps", "5", "--out", str(tmp_path / "x.csv"),
+                "run", "--scenario", scenario, "--integrator", integrator,
+                "--dt", dt, "--steps", "5", "--out", str(out),
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "integrator failed at step" in err and cause in err
+        assert not out.exists()
 
     def test_compare_to_file(self, tmp_path):
         out = tmp_path / "table.txt"

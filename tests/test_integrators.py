@@ -27,8 +27,6 @@ from geomint.integrators import (
     lie_poisson_right_step,
     quadrotor_step,
     quat_rk4_step,
-    rigidbody_cay_step,
-    rigidbody_exp_step,
     rkmk4_step,
 )
 from geomint.mechanics import (
@@ -60,6 +58,8 @@ HT_PARAMS = HeavyTopParams(
     g=9.81,
     chi=(0.0, 0.0, 1.0),
 )
+EXP = exp_retraction()
+CAY = cayley_retraction()
 
 
 def _ho_field(x):
@@ -226,7 +226,7 @@ class TestRigidBodySteps:
     def test_spherical_body_preserves_momentum_norm(self):
         params = RigidBodyParams.from_diag(1.0, 1.0, 1.0)
         r, pi = Rotation.identity(), (0.3, -0.5, 0.8)
-        r2, pi2 = rigidbody_exp_step(params, r, pi, 0.2)
+        r2, pi2 = lie_poisson_left_step(params, EXP, r, pi, 0.2)
         assert abs(norm(pi2) - norm(pi)) < 1e-13
         # isotropic case: Pi x Omega = 0, so Pi is exactly fixed
         assert _vec_err(pi2, pi) < 1e-13
@@ -234,7 +234,7 @@ class TestRigidBodySteps:
     def test_tiny_step_omega_is_inertia_inverse_pi(self):
         dt = 1e-8
         pi = (1.0, 1.0, 1.0)
-        r2, pi2 = rigidbody_exp_step(PARAMS, Rotation.identity(), pi, dt)
+        r2, pi2 = lie_poisson_left_step(PARAMS, EXP, Rotation.identity(), pi, dt)
         xi = so3.log_so3(r2)
         omega = vec_scale(xi, 1.0 / dt)
         expected = mat_vec(PARAMS.inertia_inv, pi)
@@ -251,7 +251,7 @@ class TestRigidBodySteps:
         n = 10000
         devs = np.empty(n)
         for k in range(n):
-            r, pi = rigidbody_exp_step(PARAMS, r, pi, 0.01)
+            r, pi = lie_poisson_left_step(PARAMS, EXP, r, pi, 0.01)
             devs[k] = energy(pi) - e0
         assert np.max(np.abs(devs)) < 1e-4
         t = 0.01 * np.arange(1, n + 1)
@@ -263,7 +263,7 @@ class TestRigidBodySteps:
         rng = random.Random(42)
         for _ in range(10):
             pi = _rand_vec(rng, 2.0)
-            r2, pi2 = rigidbody_cay_step(PARAMS, Rotation.identity(), pi, 0.05)
+            r2, pi2 = lie_poisson_left_step(PARAMS, CAY, Rotation.identity(), pi, 0.05)
             assert abs(norm(pi2) - norm(pi)) < 1e-12
 
     def test_exp_cay_agree_to_second_order(self):
@@ -275,21 +275,10 @@ class TestRigidBodySteps:
             d2 = _step_difference(r, pi, 0.01)
             assert d1 / d2 > 3.0  # at least O(t^2): factor 4 when halving
 
-    def test_rigidbody_matches_generic_left_step(self):
-        rng = random.Random(44)
-        r = exp_so3(_rand_vec(rng))
-        pi = _rand_vec(rng, 2.0)
-        r_a, pi_a = rigidbody_exp_step(PARAMS, r, pi, 0.03)
-        r_b, pi_b = lie_poisson_left_step(PARAMS, exp_retraction(), r, pi, 0.03)
-        assert r_a.m == r_b.m and pi_a == pi_b
-        r_a, pi_a = rigidbody_cay_step(PARAMS, r, pi, 0.03)
-        r_b, pi_b = lie_poisson_left_step(PARAMS, cayley_retraction(), r, pi, 0.03)
-        assert r_a.m == r_b.m and pi_a == pi_b
-
 
 def _step_difference(r, pi, dt):
-    _, pe = rigidbody_exp_step(PARAMS, r, pi, dt)
-    _, pc = rigidbody_cay_step(PARAMS, r, pi, dt)
+    _, pe = lie_poisson_left_step(PARAMS, EXP, r, pi, dt)
+    _, pc = lie_poisson_left_step(PARAMS, CAY, r, pi, dt)
     return max(_vec_err(pe, pc), 1e-30)
 
 
@@ -332,7 +321,7 @@ class TestConsistencyOrder:
         def run(dt, n):
             r, pi = r0, pi0
             for _ in range(n):
-                r, pi = rigidbody_exp_step(PARAMS, r, pi, dt)
+                r, pi = lie_poisson_left_step(PARAMS, EXP, r, pi, dt)
             return (r, pi)
 
         self._check(run)
@@ -343,7 +332,7 @@ class TestConsistencyOrder:
         def run(dt, n):
             r, pi = r0, pi0
             for _ in range(n):
-                r, pi = rigidbody_cay_step(PARAMS, r, pi, dt)
+                r, pi = lie_poisson_left_step(PARAMS, CAY, r, pi, dt)
             return (r, pi)
 
         self._check(run)
@@ -421,7 +410,7 @@ class TestContinuousLimits:
         r0 = exp_so3((0.3, -0.2, 0.5))
         pi0 = (1.0, 0.7, -0.4)
         dt = 1e-6
-        r1, pi1 = rigidbody_exp_step(PARAMS, r0, pi0, dt)
+        r1, pi1 = lie_poisson_left_step(PARAMS, EXP, r0, pi0, dt)
         omega = mat_vec(PARAMS.inertia_inv, pi0)
         pi_dot_fd = vec_scale(so3.vec_sub(pi1, pi0), 1.0 / dt)
         pi_dot = so3.cross(pi0, omega)
@@ -476,7 +465,7 @@ class TestHeavyTop:
             inertia=HT_PARAMS.inertia, m=1.0, g=9.81, chi=(0.0, 0.0, 0.0)
         )
         s = heavytop_exp_step(params, self.STATE, 0.01)
-        r2, pi2 = rigidbody_exp_step(PARAMS, self.STATE.R, self.STATE.Pi, 0.01)
+        r2, pi2 = lie_poisson_left_step(PARAMS, EXP, self.STATE.R, self.STATE.Pi, 0.01)
         assert _vec_err(s.Pi, pi2) < 1e-14
         assert _mat_err(s.R.m, r2.m) < 1e-14
         assert s.x == (0.0, 0.0, 0.0)
@@ -487,7 +476,7 @@ class TestHeavyTop:
         )
         assert _vec_err(s.Gamma, expected_gamma) < 1e-13
         s = heavytop_cay_step(params, self.STATE, 0.01)
-        r2, pi2 = rigidbody_cay_step(PARAMS, self.STATE.R, self.STATE.Pi, 0.01)
+        r2, pi2 = lie_poisson_left_step(PARAMS, CAY, self.STATE.R, self.STATE.Pi, 0.01)
         assert _vec_err(s.Pi, pi2) < 1e-14
         assert _mat_err(s.R.m, r2.m) < 1e-14
 
@@ -523,15 +512,6 @@ class TestHeavyTop:
         s2 = heavytop_cay_step(HT_PARAMS, self.STATE, 0.01)
         d2 = _vec_err(s1.Pi, s2.Pi)
         assert d1 / d2 > 3.0
-
-    def test_exp_transport_variant(self):
-        s = heavytop_cay_step(HT_PARAMS, self.STATE, 0.01, transport="exp")
-        pg, g2 = heavytop_casimirs(s.Pi, s.Gamma)
-        pg0, _ = heavytop_casimirs(self.STATE.Pi, self.STATE.Gamma)
-        assert abs(pg - pg0) < 1e-13
-        assert abs(g2 - 1.0) < 1e-13
-        with pytest.raises(ValueError):
-            heavytop_cay_step(HT_PARAMS, self.STATE, 0.01, transport="bogus")
 
     def test_gamma_norm_validated(self):
         with pytest.raises(ValueError):
@@ -578,7 +558,7 @@ class TestQuadrotor:
         r, pi = s.R, s.Pi
         for k in range(20):
             s = quadrotor_step(params, s, u, 0.01)
-            r, pi = rigidbody_exp_step(PARAMS, r, pi, 0.01)
+            r, pi = lie_poisson_left_step(PARAMS, EXP, r, pi, 0.01)
             assert s.R.m == r.m and s.Pi == pi
         # free drift of the translation
         assert _vec_err(s.q, (0.0 + 20 * 0.01 * 0.5, 0.0, 1.0)) < 1e-14

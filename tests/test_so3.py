@@ -15,7 +15,6 @@ from geomint import so3
 from geomint.errors import NearPiRotation, NotSkew, SingularCayley, SingularMatrix
 from geomint.so3 import (
     Ad_star_so3,
-    J_mat,
     Q_mat,
     Rotation,
     ad_star_so3,
@@ -254,7 +253,7 @@ class TestLogDerivativeDuals:
 
 class TestSE3Blocks:
     def test_j_at_zero(self):
-        assert J_mat((0.0, 0.0, 0.0)) == so3.IDENTITY3
+        assert dexp_dual_matrix((0.0, 0.0, 0.0)) == so3.IDENTITY3
 
     def test_j_hat_coefficient_limit_is_half(self):
         # the series oracle pins the half-angle normalization: a(0) = 1/2,
@@ -276,7 +275,7 @@ class TestSE3Blocks:
             for k in range(1, 40):
                 term = term @ m / k
                 out = out + term
-            jv = mat_vec(J_mat(y), v)
+            jv = mat_vec(dexp_dual_matrix(y), v)
             assert max(abs(out[i, 3] - jv[i]) for i in range(3)) < 1e-8
 
     def test_q_zero_in_z(self):
@@ -299,8 +298,8 @@ class TestSE3Blocks:
         for _ in range(25):
             y = _rand_vec(rng, 2.0)
             z = _rand_vec(rng, 2.0)
-            jp = np.array(J_mat(vec_add(y, vec_scale(z, h))))
-            jm = np.array(J_mat(vec_sub(y, vec_scale(z, h))))
+            jp = np.array(dexp_dual_matrix(vec_add(y, vec_scale(z, h))))
+            jm = np.array(dexp_dual_matrix(vec_sub(y, vec_scale(z, h))))
             fd = (jp - jm) / (2.0 * h)
             assert np.max(np.abs(fd - np.array(Q_mat(y, z)))) < 1e-6
 
