@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import integrators as gi
 from . import mechanics as mech
 from . import odecore as ode
@@ -186,6 +184,8 @@ class ScenarioConfig:
             raise IncompatiblePair(self.scenario, self.integrator)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if not 0.0 <= self.theta <= 1.0:
@@ -287,7 +287,10 @@ def parse_config(
 
     base = _DEFAULTS[scenario]
     dt = float(raw.pop("dt", base["dt"]))
-    steps = int(raw.pop("steps", base["steps"]))
+    steps = raw.pop("steps", base["steps"])
+    if isinstance(steps, float) and steps.is_integer():
+        # a file value parses as a float; only whole finite ones are step counts
+        steps = int(steps)
     theta = float(raw.pop("theta", 0.5))
     return ScenarioConfig(
         scenario=scenario,
@@ -303,6 +306,8 @@ def parse_config(
 
 def _flat_stepper(config: ScenarioConfig, f, f1, f2):
     """One-step closure x -> x' for the flat integrators."""
+    import numpy as np
+
     name = config.integrator
     dt = config.dt
     if name == "explicit_euler":
@@ -339,6 +344,8 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
 
 
 def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+    import numpy as np
+
     p = config.params
     hp = mech.HarmonicOscillatorParams(k=p["k"], m=p["m"])
     f = mech.ho_vectorfield(hp)
@@ -360,6 +367,8 @@ def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
 
 
 def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+    import numpy as np
+
     p = config.params
     kp = mech.KeplerParams(mu=p["mu"])
     f = mech.kepler_vectorfield(kp)
@@ -387,6 +396,8 @@ def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
 
 
 def _iter_pendulum(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+    import numpy as np
+
     p = config.params
     pp = mech.PendulumParams(ml2=p["ml2"], mgl=p["mgl"])
     f = mech.pendulum_embedded_vf(pp)
@@ -626,6 +637,8 @@ def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSu
     The slope is the least-squares fit of the column against time, in column
     units per second.  Raises UnknownColumn when the records lack the column.
     """
+    import numpy as np
+
     if len(records) < 2:
         raise ValueError("need at least two records")
     cols = records[0].columns

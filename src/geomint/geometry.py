@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import so3
 from .errors import DimMismatch, GeomintError, OutOfChart
 from .so3 import Mat3, Rotation, Vec3
@@ -47,6 +45,8 @@ class FlatRetraction:
     dimension: int
 
     def retract(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if x.shape != (self.dimension,) or v.shape != (self.dimension,):
@@ -109,6 +109,8 @@ class DiscretizationParams:
 
 def flat_discretize(x, v, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """D(x, v) = (x - theta v, x + (1 - theta) v)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape:
@@ -118,6 +120,8 @@ def flat_discretize(x, v, theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def flat_discretize_inverse(a, b, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form inverse: v = b - a and x = (1 - theta) a + theta b."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -252,6 +256,8 @@ class LocalSecondOrderPoint:
     pdot_or_vdot: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arrays = [np.asarray(a, dtype=float) for a in (self.q, self.p_or_v, self.qdot, self.pdot_or_vdot)]
         n = arrays[0].shape
         if any(a.shape != n for a in arrays):

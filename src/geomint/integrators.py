@@ -68,8 +68,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import so3
 from .errors import NoConvergence, OutOfChart
 from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction
@@ -195,6 +193,8 @@ def implicit_disc_step(
     settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """One step of x' = x + h f((1-theta) x + theta x')."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if theta == 0.0:
         # the relation is explicit; this is exactly the forward Euler update
@@ -217,6 +217,8 @@ def cotangent_theta_step(
     settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic theta-family step on (q, p); endpoints are symplectic Euler A/B."""
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if theta == 0.0:
@@ -496,20 +498,25 @@ def _solve_heavytop_omega(
     z: Vec3,
     tag: str,
     settings: NewtonSettings,
-) -> Vec3:
-    """Fixed-point iteration with a finite-difference Newton fallback."""
+) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Fixed-point iteration with a finite-difference Newton fallback.
+
+    Returns (Omega, d, Pi', Gamma') from the evaluation at the converged Omega.
+    """
     inertia = params.inertia
     inv = params.inertia_inv
     omega = mat_vec(inv, pi)
     tol = settings.tol
     fp_budget = max(12, settings.max_iter // 2)
     for _ in range(fp_budget):
-        res, _, _, _ = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+        res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
         if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
-            return omega
+            return omega, d, pi_new, gamma_new
         omega = vec_add(omega, mat_vec(inv, res))
 
     # stiff parameters: fall back to Newton on the same residual
+    import numpy as np
+
     def residual(arr: np.ndarray) -> np.ndarray:
         r, _, _, _ = _heavytop_eval(
             inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag
@@ -517,7 +524,9 @@ def _solve_heavytop_omega(
         return np.array(r)
 
     sol = newton_solve(residual, np.array(omega), settings)
-    return (sol[0], sol[1], sol[2])
+    omega = (sol[0], sol[1], sol[2])
+    _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+    return omega, d, pi_new, gamma_new
 
 
 def _heavytop_step(
@@ -529,13 +538,12 @@ def _heavytop_step(
 ) -> HeavyTopState:
     pi, gamma = state.Pi, state.Gamma
     z = vec_scale(params.chi, dt * params.m * params.g)
-    omega = _solve_heavytop_omega(params, pi, gamma, dt, z, tag, settings)
+    omega, d, pi_new, gamma_new = _solve_heavytop_omega(
+        params, pi, gamma, dt, z, tag, settings
+    )
     y = vec_scale(omega, dt)
     if tag == EXP_TAG:
         _check_exp_chart(norm(y))
-    _, d, pi_new, gamma_new = _heavytop_eval(
-        params.inertia, pi, gamma, omega, dt, z, tag
-    )
     r_new = so3.mat_mul(state.R.m, _tau_matrix(tag, y))
     x_new = vec_add(state.x, mat_vec(state.R.m, d))
     return HeavyTopState(R=Rotation(r_new), x=x_new, Pi=pi_new, Gamma=gamma_new)
@@ -773,8 +781,17 @@ def quat_rk4_step(params, state, dt: float):
 # --- Runge-Kutta-Munthe-Kaas baseline ----------------------------------------------------------
 
 def _dexpinv_apply(u: Vec3, k: Vec3) -> Vec3:
-    """dexpinv_u(k) = k - [u,k]/2 + c2(|u|) [u,[u,k]] with the cot kernel."""
+    """dexpinv_u(k) = k - [u,k]/2 + c2(|u|) [u,[u,k]] with the cot kernel.
+
+    The kernel is valid only for |u| < 2 pi; outside that ball (or for a
+    non-finite u) raises OutOfChart.
+    """
     theta = norm(u)
+    if not theta < 2.0 * math.pi:
+        raise OutOfChart(
+            f"rkmk4 increment |u| = {theta:.6g} >= 2*pi = {2.0 * math.pi:.6g}; "
+            "the dexpinv kernel is singular there"
+        )
     if theta < 0.1:
         t2 = theta * theta
         c2 = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 / 1209600.0

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import so3
 from .errors import DegenerateProjection, SingularOrigin
 from .so3 import Mat3, Vec3
@@ -40,6 +38,8 @@ class HarmonicOscillatorParams:
 
 def ho_vectorfield(params: HarmonicOscillatorParams) -> Callable[[np.ndarray], np.ndarray]:
     """State (q, v) maps to (v, -k q / m)."""
+    import numpy as np
+
     ratio = params.k / params.m
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -72,6 +72,8 @@ class KeplerParams:
 
 def kepler_vectorfield(params: KeplerParams) -> Callable[[np.ndarray], np.ndarray]:
     """State (rx, ry, vx, vy) maps to (vx, vy, -mu r / |r|^3)."""
+    import numpy as np
+
     mu = params.mu
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -122,6 +124,7 @@ class PendulumParams:
 
 def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     """Canonical form (theta, p) -> (p/ml2, -mgl sin theta)."""
+    import numpy as np
 
     def f(x: np.ndarray) -> np.ndarray:
         return np.array([x[1] / params.ml2, -params.mgl * math.sin(x[0])])
@@ -144,6 +147,7 @@ def pendulum_embedded_vf(params: PendulumParams) -> Callable[[np.ndarray], np.nd
     (x, y, z) -> (-y z / ml2, x z / ml2, -mgl y); the (x, y) components stay
     tangent to the cylinder since x(-yz) + y(xz) = 0 identically.
     """
+    import numpy as np
 
     def f(s: np.ndarray) -> np.ndarray:
         return np.array(

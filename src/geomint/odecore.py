@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import NoConvergence, SingularJacobian
 
-VectorField = Callable[[np.ndarray], np.ndarray]
-SplitField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# numpy is imported inside the functions that use it, so that importing geomint
+# never loads it; hence the string annotations
+VectorField = Callable[["np.ndarray"], "np.ndarray"]
+SplitField = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class ButcherTableau:
     b: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[0] != a.shape[1]:
@@ -74,6 +76,8 @@ class ButcherTableau:
         return len(self.b)
 
     def is_explicit(self) -> bool:
+        import numpy as np
+
         return bool(np.all(np.triu(self.a) == 0.0))
 
 
@@ -87,6 +91,8 @@ class PartitionedTableau:
     b_hat: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         ah = np.atleast_2d(np.asarray(self.a_hat, dtype=float))
@@ -162,6 +168,8 @@ def newton_solve(
     settings.max_iter iterations, SingularJacobian when the finite-difference
     Jacobian cannot be inverted.
     """
+    import numpy as np
+
     x = np.array(x0, dtype=float)
     n = x.size
     h = settings.fd_step
@@ -194,6 +202,8 @@ def newton_solve(
 
 def explicit_euler_step(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
     """x + h f(x)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return x + h * np.asarray(f(x), dtype=float)
 
@@ -205,6 +215,8 @@ def implicit_euler_step(
     settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """Solve x' = x + h f(x') by Newton from the initial guess x."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
 
     def residual(y: np.ndarray) -> np.ndarray:
@@ -226,6 +238,8 @@ def symplectic_euler_a_step(
     The v-equation is implicit in v' alone (a single Newton pass, explicit
     whenever f2 drops its v-dependence); q' then follows explicitly.
     """
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -246,6 +260,8 @@ def symplectic_euler_b_step(
     settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """q' = q + h f1(q', v), v' = v + h f2(q', v); mirror image of variant A."""
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -271,6 +287,8 @@ def rk_step(
     Strictly lower-triangular tableaux run explicitly; otherwise all stage
     slopes are solved as a single stacked Newton system.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     s = tab.stages
     n = x.size
@@ -310,6 +328,8 @@ def prk_step(
     Q_i = q + h sum_j a_ij k_j and P_i = p + h sum_j a_hat_ij l_j are solved
     jointly by one stacked Newton iteration.
     """
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     s = ptab.stages
@@ -367,6 +387,8 @@ def check_order_conditions(tab: ButcherTableau, order: int) -> bool:
 
 def check_symplectic_prk(ptab: PartitionedTableau) -> bool:
     """Check b_i a_hat_ij + b_hat_j a_ji - b_i b_hat_j = 0 and b = b_hat."""
+    import numpy as np
+
     a, b, ah, bh = ptab.a, ptab.b, ptab.a_hat, ptab.b_hat
     tol = 1e-12
     if np.max(np.abs(b - bh)) > tol:

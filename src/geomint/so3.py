@@ -497,10 +497,12 @@ class Rotation:
 
     def __post_init__(self):
         m = self.m
-        if not mat_is_finite(m):
-            raise NotRotation("rotation matrix has non-finite entries")
         defect = orthogonality_defect_mat(m)
-        if defect > 1e-9:
+        # a non-finite entry makes a diagonal Gram term inf or nan, so the
+        # finiteness scan runs only on matrices that already failed
+        if not defect <= 1e-9:
+            if not mat_is_finite(m):
+                raise NotRotation("rotation matrix has non-finite entries")
             raise NotRotation(f"orthogonality defect {defect:.3e} exceeds 1e-9")
         det = mat_det(m)
         if abs(det - 1.0) > 1e-9:

@@ -1,9 +1,14 @@
 """Harness tests: config parsing, runners, CSV schema and round trip, CLI."""
 
 import filecmp
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import geomint
 from geomint import bench, cli
 from geomint.bench import (
     ScenarioConfig,
@@ -113,6 +118,21 @@ class TestConfig:
             code = cli.main(["run", *args, "--steps", "5", "--out", str(out)])
             assert code == 1, args
             assert "error" in capsys.readouterr().err
+            assert not out.exists()
+        # steps must be a whole number; a config file parses it as a float
+        with pytest.raises(ValueError, match="steps must be an integer, got 2.7"):
+            ScenarioConfig(scenario="harmonic", integrator="rk4", dt=0.1, steps=2.7)
+        cfg = tmp_path / "run.cfg"
+        for value in ("inf", "2.7"):
+            cfg.write_text(f"steps = {value}\n", encoding="utf-8")
+            code = cli.main(
+                [
+                    "run", "--scenario", "harmonic", "--integrator", "rk4",
+                    "--config", str(cfg), "--out", str(out),
+                ]
+            )
+            assert code == 1, value
+            assert f"steps must be an integer, got {value}" in capsys.readouterr().err
             assert not out.exists()
 
 
@@ -371,24 +391,40 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scenario, integrator, dt, cause",
+        "scenario, integrator, dt, params, cause",
         [
-            ("kepler", "implicit_euler", "50.0", "no convergence"),
+            ("kepler", "implicit_euler", "50.0", (), "no convergence"),
             # the Rotation check fails inside the step loop
-            ("rigidbody", "quat_rk4", "1e3", "rotation matrix"),
+            ("rigidbody", "quat_rk4", "1e3", (), "rotation matrix"),
             # Newton converges to a spurious root past the exp chart
-            ("rigidbody", "lp_exp", "50", "outside the retraction's chart"),
+            ("rigidbody", "lp_exp", "50", (), "outside the retraction's chart"),
+            # a stiff heavy top drives the RKMK increment past dexpinv's 2 pi ball
+            (
+                "heavytop", "rkmk4", "0.07",
+                (
+                    "g=3000",
+                    "Pi0=0.04220421927097438,-1.0727126340533713,1.6874556019694282",
+                    "Gamma0=-0.9752970916644843,0.020379727907865002,"
+                    "0.21995510833167703",
+                    "chi=-0.46012144574376457,0.39408413565385647,-0.8700000485678103",
+                ),
+                "rkmk4 increment |u| = 30.9572 >= 2*pi",
+            ),
         ],
-        ids=["kepler_no_convergence", "rotation_check", "exp_out_of_chart"],
+        ids=[
+            "kepler_no_convergence", "rotation_check", "exp_out_of_chart",
+            "rkmk4_dexpinv_domain",
+        ],
     )
     def test_integrator_failure_exit_code(
-        self, tmp_path, capsys, scenario, integrator, dt, cause
+        self, tmp_path, capsys, scenario, integrator, dt, params, cause
     ):
         out = tmp_path / "x.csv"
         code = cli.main(
             [
                 "run", "--scenario", scenario, "--integrator", integrator,
                 "--dt", dt, "--steps", "5", "--out", str(out),
+                *(arg for value in params for arg in ("--param", value)),
             ]
         )
         assert code == 2
@@ -439,3 +475,35 @@ class TestCli:
         assert code == 0
         rows = read_csv(str(out))
         assert all(r.value("cylinder_defect") <= 1e-15 for r in rows)
+
+    def test_rotational_runs_never_import_numpy(self, tmp_path):
+        # a fresh interpreter, because this one has numpy loaded already
+        script = textwrap.dedent(
+            """
+            import sys
+            from geomint import bench, cli
+
+            out = sys.argv[1]
+            assert "numpy" not in sys.modules, "importing geomint.cli loaded numpy"
+            for scenario in bench.GROUP_SCENARIOS:
+                for integrator in bench.COMPAT[scenario]:
+                    argv = ["run", "--scenario", scenario, "--integrator", integrator,
+                            "--steps", "3", "--out", out]
+                    assert cli.main(argv) == 0, argv
+                    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+            # a flat run does load it, so the checks above are not vacuous
+            argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
+                    "--steps", "1", "--out", out]
+            assert cli.main(argv) == 0, argv
+            assert "numpy" in sys.modules, "the Kepler run did not load numpy"
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geomint.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "x.csv")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr

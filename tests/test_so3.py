@@ -402,16 +402,22 @@ class TestLinearSolve:
 
 class TestRotationType:
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="orthogonality defect 1.414e-06 exceeds"):
             Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 1e-6), (0.0, 0.0, 1.0)))
+        # finite entries whose Gram terms overflow are reported as a defect
+        with pytest.raises(ValueError, match="orthogonality defect inf exceeds"):
+            Rotation(((1e200, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinant"):
             Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Rotation(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Rotation(((bad, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+            with pytest.raises(ValueError, match="non-finite"):
+                Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, bad, 1.0)))
 
     def test_se3_element_checks_translation(self):
         with pytest.raises(ValueError):
