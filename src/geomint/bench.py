@@ -250,6 +250,13 @@ def _parse_value(text: str):
         return text
 
 
+def _number(key: str, value) -> float:
+    """dt or theta as a float; a list or a word from a config file raises, naming the key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(
     path: str | None = None, overrides: dict | None = None
 ) -> ScenarioConfig:
@@ -286,12 +293,12 @@ def parse_config(
         raise UnknownKey(f"unknown scenario {scenario!r}")
 
     base = _DEFAULTS[scenario]
-    dt = float(raw.pop("dt", base["dt"]))
+    dt = _number("dt", raw.pop("dt", base["dt"]))
     steps = raw.pop("steps", base["steps"])
     if isinstance(steps, float) and steps.is_integer():
         # a file value parses as a float; only whole finite ones are step counts
         steps = int(steps)
-    theta = float(raw.pop("theta", 0.5))
+    theta = _number("theta", raw.pop("theta", 0.5))
     return ScenarioConfig(
         scenario=scenario,
         integrator=integrator,
@@ -631,33 +638,51 @@ class DriftSummary:
     linear_slope: float
 
 
-def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSummary:
-    """Deviation statistics of one invariant column over a run.
+def _max_abs_dev(records: Sequence[TrajectoryRecord], column: str) -> float:
+    """max |v - v0| over one value column, in pure Python.
 
-    The slope is the least-squares fit of the column against time, in column
-    units per second.  Raises UnknownColumn when the records lack the column.
+    Equals ``float(np.max(np.abs(v - v[0])))`` bit for bit, so it returns
+    NaN when any deviation is NaN.  Raises ValueError for fewer than two
+    records and UnknownColumn when the records lack the column.
     """
-    import numpy as np
-
     if len(records) < 2:
         raise ValueError("need at least two records")
     cols = records[0].columns
     if column not in cols:
         raise UnknownColumn(column)
     idx = cols.index(column) - 2
+    initial = records[0].values[idx]
+    worst = 0.0
+    for rec in records:
+        dev = abs(rec.values[idx] - initial)
+        if dev != dev:
+            return float(dev)
+        if dev > worst:
+            worst = dev
+    return float(worst)
+
+
+def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSummary:
+    """Deviation statistics of one invariant column over a run.
+
+    The slope is the least-squares fit of the column against time, in column
+    units per second.  Raises UnknownColumn when the records lack the column.
+    """
+    max_abs_dev = _max_abs_dev(records, column)
+    import numpy as np
+
+    idx = records[0].columns.index(column) - 2
     times = np.fromiter((rec.t for rec in records), dtype=float, count=len(records))
     values = np.fromiter(
         (rec.values[idx] for rec in records), dtype=float, count=len(records)
     )
-    initial = values[0]
-    dev = values - initial
     t_centered = times - times.mean()
     denom = float(t_centered @ t_centered)
     slope = float(t_centered @ (values - values.mean()) / denom) if denom > 0 else 0.0
     return DriftSummary(
-        initial=float(initial),
+        initial=float(values[0]),
         final=float(values[-1]),
-        max_abs_dev=float(np.max(np.abs(dev))),
+        max_abs_dev=max_abs_dev,
         linear_slope=slope,
     )
 
@@ -718,7 +743,7 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
         wall_ms = (time.perf_counter() - start) * 1e3
         row = [config.integrator]
         for name in invariants:
-            row.append("%.3e" % summarize_drift(records, name).max_abs_dev)
+            row.append("%.3e" % _max_abs_dev(records, name))
         if group:
             defect = _max_orthodefect(records)
             row.append("%.3e" % defect if defect is not None else "-")

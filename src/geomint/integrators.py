@@ -90,14 +90,12 @@ from .so3 import (
     _coeff_db,
     _sinc,
     cross,
-    dot,
     mat_T_vec,
     mat_vec,
     norm,
     solve3,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 
 __all__ = [
@@ -259,85 +257,120 @@ def _solve_body_omega(
 ) -> Vec3:
     """Body velocity Omega from dlog(dt Omega) . Pi = I Omega.
 
-    Newton iteration with the analytic Jacobian; initial guess I^-1 Pi.
+    Newton iteration with the analytic Jacobian; initial guess I^-1 Pi.  The
+    residual and the Jacobian columns are written out on float locals.  The
+    products with the unit vectors e_j keep their factors 0.0 and 1.0, since
+    dropping them can flip the sign of a zero.
     """
-    inertia = params.inertia
-    omega = mat_vec(params.inertia_inv, pi)
+    p0, p1, p2 = pi
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params.inertia
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
+    o0 = v00 * p0 + v01 * p1 + v02 * p2
+    o1 = v10 * p0 + v11 * p1 + v12 * p2
+    o2 = v20 * p0 + v21 * p1 + v22 * p2
     tol = settings.tol
     exp_tag = tag == EXP_TAG
+    # e_j x Pi, fixed over the iteration
+    ep00 = 0.0 * p2 - 0.0 * p1
+    ep01 = 0.0 * p0 - 1.0 * p2
+    ep02 = 1.0 * p1 - 0.0 * p0
+    ep10 = 1.0 * p2 - 0.0 * p1
+    ep11 = 0.0 * p0 - 0.0 * p2
+    ep12 = 0.0 * p1 - 1.0 * p0
+    ep20 = 0.0 * p2 - 1.0 * p1
+    ep21 = 1.0 * p0 - 0.0 * p2
+    ep22 = 0.0 * p1 - 0.0 * p0
 
     for _ in range(settings.max_iter):
-        y = (dt * omega[0], dt * omega[1], dt * omega[2])
-        w1 = cross(y, pi)  # hat(y) Pi
-        w2 = cross(y, w1)  # hat(y)^2 Pi
+        y0 = dt * o0
+        y1 = dt * o1
+        y2 = dt * o2
+        # w1 = hat(y) Pi, w2 = hat(y)^2 Pi
+        w10 = y1 * p2 - y2 * p1
+        w11 = y2 * p0 - y0 * p2
+        w12 = y0 * p1 - y1 * p0
+        w20 = y1 * w12 - y2 * w11
+        w21 = y2 * w10 - y0 * w12
+        w22 = y0 * w11 - y1 * w10
         if exp_tag:
-            theta = norm(y)
+            theta = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
             a = _coeff_a(theta)
             b = _coeff_b(theta)
-            da = _coeff_da(theta)
-            db = _coeff_db(theta)
-            lhs = (
-                pi[0] - a * w1[0] + b * w2[0],
-                pi[1] - a * w1[1] + b * w2[1],
-                pi[2] - a * w1[2] + b * w2[2],
-            )
+            l0 = p0 - a * w10 + b * w20
+            l1 = p1 - a * w11 + b * w21
+            l2 = p2 - a * w12 + b * w22
         else:
             # normalized Cayley: dlog(y) = (I - hat(y/2)) / (1 + |y|^2/4)
-            c = 1.0 / (1.0 + 0.25 * dot(y, y))
-            lhs = (
-                c * (pi[0] - 0.5 * w1[0]),
-                c * (pi[1] - 0.5 * w1[1]),
-                c * (pi[2] - 0.5 * w1[2]),
-            )
-        i_omega = mat_vec(inertia, omega)
-        res = (lhs[0] - i_omega[0], lhs[1] - i_omega[1], lhs[2] - i_omega[2])
-        if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
+            c = 1.0 / (1.0 + 0.25 * (y0 * y0 + y1 * y1 + y2 * y2))
+            h0 = p0 - 0.5 * w10
+            h1 = p1 - 0.5 * w11
+            h2 = p2 - 0.5 * w12
+            l0 = c * h0
+            l1 = c * h1
+            l2 = c * h2
+        r0 = l0 - (i00 * o0 + i01 * o1 + i02 * o2)
+        r1 = l1 - (i10 * o0 + i11 * o1 + i12 * o2)
+        r2 = l2 - (i20 * o0 + i21 * o1 + i22 * o2)
+        if max(abs(r0), abs(r1), abs(r2)) <= tol:
             if exp_tag:
                 _check_exp_chart(theta)
-            return omega
+            return (o0, o1, o2)
 
-        cols = []
-        for j in range(3):
-            e: list[float] = [0.0, 0.0, 0.0]
-            e[j] = 1.0
-            ej = (e[0], e[1], e[2])
-            ejp = cross(ej, pi)
-            if exp_tag:
-                yej = y[j]
-                dcol = vec_add(
-                    vec_sub(
-                        vec_scale(vec_add(cross(y, ejp), cross(ej, w1)), b),
-                        vec_scale(ejp, a),
-                    ),
-                    vec_add(
-                        vec_scale(w1, -da * yej), vec_scale(w2, db * yej)
-                    ),
-                )
-            else:
-                p1 = (
-                    pi[0] - 0.5 * w1[0],
-                    pi[1] - 0.5 * w1[1],
-                    pi[2] - 0.5 * w1[2],
-                )
-                dcol = vec_sub(
-                    vec_scale(p1, -0.5 * c * c * y[j]), vec_scale(ejp, 0.5 * c)
-                )
-            cols.append(
-                (
-                    dt * dcol[0] - inertia[0][j],
-                    dt * dcol[1] - inertia[1][j],
-                    dt * dcol[2] - inertia[2][j],
-                )
-            )
+        # k<j><i>: component i of the derivative of dlog(y) Pi along y_j
+        if exp_tag:
+            # b (y x (e_j x Pi) + e_j x w1) - a (e_j x Pi) + y_j (-da w1 + db w2)
+            da = _coeff_da(theta)
+            db = _coeff_db(theta)
+            ew00 = 0.0 * w12 - 0.0 * w11
+            ew01 = 0.0 * w10 - 1.0 * w12
+            ew02 = 1.0 * w11 - 0.0 * w10
+            ew10 = 1.0 * w12 - 0.0 * w11
+            ew11 = 0.0 * w10 - 0.0 * w12
+            ew12 = 0.0 * w11 - 1.0 * w10
+            ew20 = 0.0 * w12 - 1.0 * w11
+            ew21 = 1.0 * w10 - 0.0 * w12
+            ew22 = 0.0 * w11 - 0.0 * w10
+            sa0 = -da * y0
+            sa1 = -da * y1
+            sa2 = -da * y2
+            sb0 = db * y0
+            sb1 = db * y1
+            sb2 = db * y2
+            k00 = b * (y1 * ep02 - y2 * ep01 + ew00) - a * ep00 + (sa0 * w10 + sb0 * w20)
+            k01 = b * (y2 * ep00 - y0 * ep02 + ew01) - a * ep01 + (sa0 * w11 + sb0 * w21)
+            k02 = b * (y0 * ep01 - y1 * ep00 + ew02) - a * ep02 + (sa0 * w12 + sb0 * w22)
+            k10 = b * (y1 * ep12 - y2 * ep11 + ew10) - a * ep10 + (sa1 * w10 + sb1 * w20)
+            k11 = b * (y2 * ep10 - y0 * ep12 + ew11) - a * ep11 + (sa1 * w11 + sb1 * w21)
+            k12 = b * (y0 * ep11 - y1 * ep10 + ew12) - a * ep12 + (sa1 * w12 + sb1 * w22)
+            k20 = b * (y1 * ep22 - y2 * ep21 + ew20) - a * ep20 + (sa2 * w10 + sb2 * w20)
+            k21 = b * (y2 * ep20 - y0 * ep22 + ew21) - a * ep21 + (sa2 * w11 + sb2 * w21)
+            k22 = b * (y0 * ep21 - y1 * ep20 + ew22) - a * ep22 + (sa2 * w12 + sb2 * w22)
+        else:
+            # -c^2 y_j (Pi - hat(y) Pi / 2) / 2 - c (e_j x Pi) / 2
+            hc = 0.5 * c
+            s0 = -0.5 * c * c * y0
+            s1 = -0.5 * c * c * y1
+            s2 = -0.5 * c * c * y2
+            k00 = s0 * h0 - hc * ep00
+            k01 = s0 * h1 - hc * ep01
+            k02 = s0 * h2 - hc * ep02
+            k10 = s1 * h0 - hc * ep10
+            k11 = s1 * h1 - hc * ep11
+            k12 = s1 * h2 - hc * ep12
+            k20 = s2 * h0 - hc * ep20
+            k21 = s2 * h1 - hc * ep21
+            k22 = s2 * h2 - hc * ep22
         jac = (
-            (cols[0][0], cols[1][0], cols[2][0]),
-            (cols[0][1], cols[1][1], cols[2][1]),
-            (cols[0][2], cols[1][2], cols[2][2]),
+            (dt * k00 - i00, dt * k10 - i01, dt * k20 - i02),
+            (dt * k01 - i10, dt * k11 - i11, dt * k21 - i12),
+            (dt * k02 - i20, dt * k12 - i21, dt * k22 - i22),
         )
-        step = solve3(jac, res)
-        omega = (omega[0] - step[0], omega[1] - step[1], omega[2] - step[2])
+        step = solve3(jac, (r0, r1, r2))
+        o0 = o0 - step[0]
+        o1 = o1 - step[1]
+        o2 = o2 - step[2]
 
-    raise NoConvergence(settings.max_iter, max(abs(r) for r in res))
+    raise NoConvergence(settings.max_iter, max(abs(r0), abs(r1), abs(r2)))
 
 
 def _tau_matrix(tag: str, y: Vec3):
@@ -412,82 +445,126 @@ def _heavytop_eval(
     """Residual plus translation leg and transported momenta for one guess.
 
     Scalar kernels are evaluated once per call; the residual is the momentum
-    relation of the semidirect-product scheme minus I Omega.
+    relation of the semidirect-product scheme minus I Omega.  Written out on
+    float locals; each cross product is spelled u1 v2 - u2 v1, u2 v0 - u0 v2,
+    u0 v1 - u1 v0.
     """
-    y = (dt * omega[0], dt * omega[1], dt * omega[2])
-    theta = norm(y)
+    p0, p1, p2 = pi
+    g0, g1, g2 = gamma
+    o0, o1, o2 = omega
+    z0, z1, z2 = z
+    y0 = dt * o0
+    y1 = dt * o1
+    y2 = dt * o2
 
     if tag == EXP_TAG:
+        theta = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
         a = _coeff_a(theta)
         b = _coeff_b(theta)
         s = _sinc(theta)
-        # translation block J(y) z and the lifted momentum
-        yz = cross(y, z)
-        yyz = cross(y, yz)
-        d = (z[0] + a * yz[0] + b * yyz[0],
-             z[1] + a * yz[1] + b * yyz[1],
-             z[2] + a * yz[2] + b * yyz[2])
-        lifted = vec_add(pi, cross(gamma, d))
+        # translation block d = J(y) z
+        t0 = y1 * z2 - y2 * z1
+        t1 = y2 * z0 - y0 * z2
+        t2 = y0 * z1 - y1 * z0
+        d0 = z0 + a * t0 + b * (y1 * t2 - y2 * t1)
+        d1 = z1 + a * t1 + b * (y2 * t0 - y0 * t2)
+        d2 = z2 + a * t2 + b * (y0 * t1 - y1 * t0)
+        # lifted momentum Pi + Gamma x d
+        q0 = p0 + (g1 * d2 - g2 * d1)
+        q1 = p1 + (g2 * d0 - g0 * d2)
+        q2 = p2 + (g0 * d1 - g1 * d0)
         # exp(-hat(y)) transports
-        c1 = cross(y, lifted)
-        c2 = cross(y, c1)
-        pi_new = (lifted[0] - s * c1[0] + a * c2[0],
-                  lifted[1] - s * c1[1] + a * c2[1],
-                  lifted[2] - s * c1[2] + a * c2[2])
-        g1 = cross(y, gamma)
-        g2 = cross(y, g1)
-        gamma_new = (gamma[0] - s * g1[0] + a * g2[0],
-                     gamma[1] - s * g1[1] + a * g2[1],
-                     gamma[2] - s * g1[2] + a * g2[2])
+        t0 = y1 * q2 - y2 * q1
+        t1 = y2 * q0 - y0 * q2
+        t2 = y0 * q1 - y1 * q0
+        n0 = q0 - s * t0 + a * (y1 * t2 - y2 * t1)
+        n1 = q1 - s * t1 + a * (y2 * t0 - y0 * t2)
+        n2 = q2 - s * t2 + a * (y0 * t1 - y1 * t0)
+        t0 = y1 * g2 - y2 * g1
+        t1 = y2 * g0 - y0 * g2
+        t2 = y0 * g1 - y1 * g0
+        e0 = g0 - s * t0 + a * (y1 * t2 - y2 * t1)
+        e1 = g1 - s * t1 + a * (y2 * t0 - y0 * t2)
+        e2 = g2 - s * t2 + a * (y0 * t1 - y1 * t0)
         # momentum relation: J(y) Pi' + Q(y, z) Gamma' = I Omega
-        p1 = cross(y, pi_new)
-        p2 = cross(y, p1)
-        jp = (pi_new[0] + a * p1[0] + b * p2[0],
-              pi_new[1] + a * p1[1] + b * p2[1],
-              pi_new[2] + a * p1[2] + b * p2[2])
+        t0 = y1 * n2 - y2 * n1
+        t1 = y2 * n0 - y0 * n2
+        t2 = y0 * n1 - y1 * n0
+        j0 = n0 + a * t0 + b * (y1 * t2 - y2 * t1)
+        j1 = n1 + a * t1 + b * (y2 * t0 - y0 * t2)
+        j2 = n2 + a * t2 + b * (y0 * t1 - y1 * t0)
         da = _coeff_da(theta)
         db = _coeff_db(theta)
-        ydz = dot(y, z)
-        zv = cross(z, gamma_new)
-        yv = cross(y, gamma_new)
-        qv = vec_add(
-            vec_add(vec_scale(zv, a),
-                    vec_scale(vec_add(cross(y, zv), cross(z, yv)), b)),
-            vec_add(vec_scale(yv, da * ydz),
-                    vec_scale(cross(y, yv), db * ydz)),
+        ydz = y0 * z0 + y1 * z1 + y2 * z2
+        sa = da * ydz
+        sb = db * ydz
+        # zv = z x Gamma', yv = y x Gamma'
+        zv0 = z1 * e2 - z2 * e1
+        zv1 = z2 * e0 - z0 * e2
+        zv2 = z0 * e1 - z1 * e0
+        yv0 = y1 * e2 - y2 * e1
+        yv1 = y2 * e0 - y0 * e2
+        yv2 = y0 * e1 - y1 * e0
+        # Q Gamma' = a zv + b (y x zv + z x yv) + sa yv + sb y x yv
+        l0 = j0 + (
+            a * zv0
+            + b * ((y1 * zv2 - y2 * zv1) + (z1 * yv2 - z2 * yv1))
+            + (sa * yv0 + sb * (y1 * yv2 - y2 * yv1))
         )
-        lhs = vec_add(jp, qv)
+        l1 = j1 + (
+            a * zv1
+            + b * ((y2 * zv0 - y0 * zv2) + (z2 * yv0 - z0 * yv2))
+            + (sa * yv1 + sb * (y2 * yv0 - y0 * yv2))
+        )
+        l2 = j2 + (
+            a * zv2
+            + b * ((y0 * zv1 - y1 * zv0) + (z0 * yv1 - z1 * yv0))
+            + (sa * yv2 + sb * (y0 * yv1 - y1 * yv0))
+        )
     else:
         # normalized Cayley: w = y/2 throughout
-        w = (0.5 * y[0], 0.5 * y[1], 0.5 * y[2])
-        c2w = 1.0 / (1.0 + dot(w, w))
-        wz = cross(w, z)
-        wdz = dot(w, z)
-        # translation block (I - hat(w))^-1 z
-        d = (c2w * (z[0] + wz[0] + wdz * w[0]),
-             c2w * (z[1] + wz[1] + wdz * w[1]),
-             c2w * (z[2] + wz[2] + wdz * w[2]))
-        lifted = vec_add(pi, cross(gamma, d))
-        # Cay(hat(w))^T v = v - 2 c (w x v - w x (w x v)) with c = c2w
-        lv = cross(w, lifted)
-        lvv = cross(w, lv)
-        pi_new = (lifted[0] - 2.0 * c2w * (lv[0] - lvv[0]),
-                  lifted[1] - 2.0 * c2w * (lv[1] - lvv[1]),
-                  lifted[2] - 2.0 * c2w * (lv[2] - lvv[2]))
-        gv = cross(w, gamma)
-        gvv = cross(w, gv)
-        gamma_new = (gamma[0] - 2.0 * c2w * (gv[0] - gvv[0]),
-                     gamma[1] - 2.0 * c2w * (gv[1] - gvv[1]),
-                     gamma[2] - 2.0 * c2w * (gv[2] - gvv[2]))
+        w0 = 0.5 * y0
+        w1 = 0.5 * y1
+        w2 = 0.5 * y2
+        c = 1.0 / (1.0 + (w0 * w0 + w1 * w1 + w2 * w2))
+        c2 = 2.0 * c
+        wdz = w0 * z0 + w1 * z1 + w2 * z2
+        # translation block d = (I - hat(w))^-1 z
+        d0 = c * (z0 + (w1 * z2 - w2 * z1) + wdz * w0)
+        d1 = c * (z1 + (w2 * z0 - w0 * z2) + wdz * w1)
+        d2 = c * (z2 + (w0 * z1 - w1 * z0) + wdz * w2)
+        # lifted momentum Pi + Gamma x d
+        q0 = p0 + (g1 * d2 - g2 * d1)
+        q1 = p1 + (g2 * d0 - g0 * d2)
+        q2 = p2 + (g0 * d1 - g1 * d0)
+        # Cay(hat(w))^T v = v - 2 c (w x v - w x (w x v))
+        t0 = w1 * q2 - w2 * q1
+        t1 = w2 * q0 - w0 * q2
+        t2 = w0 * q1 - w1 * q0
+        n0 = q0 - c2 * (t0 - (w1 * t2 - w2 * t1))
+        n1 = q1 - c2 * (t1 - (w2 * t0 - w0 * t2))
+        n2 = q2 - c2 * (t2 - (w0 * t1 - w1 * t0))
+        t0 = w1 * g2 - w2 * g1
+        t1 = w2 * g0 - w0 * g2
+        t2 = w0 * g1 - w1 * g0
+        e0 = g0 - c2 * (t0 - (w1 * t2 - w2 * t1))
+        e1 = g1 - c2 * (t1 - (w2 * t0 - w0 * t2))
+        e2 = g2 - c2 * (t2 - (w0 * t1 - w1 * t0))
         # momentum relation: c (I + hat(w)) (Pi' + z x Gamma'/2) = I Omega
-        inner = vec_add(pi_new, vec_scale(cross(z, gamma_new), 0.5))
-        wi = cross(w, inner)
-        lhs = (c2w * (inner[0] + wi[0]),
-               c2w * (inner[1] + wi[1]),
-               c2w * (inner[2] + wi[2]))
+        h0 = n0 + 0.5 * (z1 * e2 - z2 * e1)
+        h1 = n1 + 0.5 * (z2 * e0 - z0 * e2)
+        h2 = n2 + 0.5 * (z0 * e1 - z1 * e0)
+        l0 = c * (h0 + (w1 * h2 - w2 * h1))
+        l1 = c * (h1 + (w2 * h0 - w0 * h2))
+        l2 = c * (h2 + (w0 * h1 - w1 * h0))
 
-    i_omega = mat_vec(inertia, omega)
-    return vec_sub(lhs, i_omega), d, pi_new, gamma_new
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = inertia
+    res = (
+        l0 - (i00 * o0 + i01 * o1 + i02 * o2),
+        l1 - (i10 * o0 + i11 * o1 + i12 * o2),
+        l2 - (i20 * o0 + i21 * o1 + i22 * o2),
+    )
+    return res, (d0, d1, d2), (n0, n1, n2), (e0, e1, e2)
 
 
 def _solve_heavytop_omega(
@@ -504,15 +581,21 @@ def _solve_heavytop_omega(
     Returns (Omega, d, Pi', Gamma') from the evaluation at the converged Omega.
     """
     inertia = params.inertia
-    inv = params.inertia_inv
-    omega = mat_vec(inv, pi)
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
+    omega = mat_vec(params.inertia_inv, pi)
     tol = settings.tol
     fp_budget = max(12, settings.max_iter // 2)
     for _ in range(fp_budget):
         res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
-        if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
+        r0, r1, r2 = res
+        if max(abs(r0), abs(r1), abs(r2)) <= tol:
             return omega, d, pi_new, gamma_new
-        omega = vec_add(omega, mat_vec(inv, res))
+        # Omega + I^-1 res
+        omega = (
+            omega[0] + (v00 * r0 + v01 * r1 + v02 * r2),
+            omega[1] + (v10 * r0 + v11 * r1 + v12 * r2),
+            omega[2] + (v20 * r0 + v21 * r1 + v22 * r2),
+        )
 
     # stiff parameters: fall back to Newton on the same residual
     import numpy as np

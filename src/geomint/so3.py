@@ -539,17 +539,20 @@ class SE3Element:
 
 def orthogonality_defect_mat(m: Mat3) -> float:
     """||m^T m - I||_F, computed without allocating the product."""
-    total = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            g = (
-                m[0][i] * m[0][j]
-                + m[1][i] * m[1][j]
-                + m[2][i] * m[2][j]
-            )
-            if i == j:
-                g -= 1.0
-                total += g * g
-            else:
-                total += 2.0 * g * g
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    # Gram entries of the upper triangle; the diagonal ones less 1
+    g00 = m00 * m00 + m10 * m10 + m20 * m20 - 1.0
+    g01 = m00 * m01 + m10 * m11 + m20 * m21
+    g02 = m00 * m02 + m10 * m12 + m20 * m22
+    g11 = m01 * m01 + m11 * m11 + m21 * m21 - 1.0
+    g12 = m01 * m02 + m11 * m12 + m21 * m22
+    g22 = m02 * m02 + m12 * m12 + m22 * m22 - 1.0
+    total = (
+        g00 * g00
+        + 2.0 * g01 * g01
+        + 2.0 * g02 * g02
+        + g11 * g11
+        + 2.0 * g12 * g12
+        + g22 * g22
+    )
     return math.sqrt(total)

@@ -1,11 +1,14 @@
 """Harness tests: config parsing, runners, CSV schema and round trip, CLI."""
 
 import filecmp
+import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import geomint
@@ -133,6 +136,18 @@ class TestConfig:
             )
             assert code == 1, value
             assert f"steps must be an integer, got {value}" in capsys.readouterr().err
+            assert not out.exists()
+        # dt and theta from a file must be single numbers
+        for key in ("dt", "theta"):
+            cfg.write_text(f"{key} = 0.1,0.2\n", encoding="utf-8")
+            code = cli.main(
+                [
+                    "run", "--scenario", "harmonic", "--integrator", "rk4",
+                    "--config", str(cfg), "--out", str(out),
+                ]
+            )
+            assert code == 1, key
+            assert f"{key} must be a number, got (0.1, 0.2)" in capsys.readouterr().err
             assert not out.exists()
 
 
@@ -316,6 +331,34 @@ class TestSummarizeDrift:
         with pytest.raises(ValueError):
             summarize_drift(self._records([1.0]), "x")
 
+    def test_max_abs_dev_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(7)
+        nan = float("nan")
+        cases = [
+            list(1.0 + 1e-13 * rng.standard_normal(200)),
+            list(rng.uniform(-3.0, 3.0, 50)),
+            [0.0, -0.0, 0.0],
+            [2.5, 2.5, 2.5 + 2.0**-51, 2.5 - 2.0**-50],
+            [1.0, 1.0, nan, 5.0],
+            [nan, 1.0, 2.0],
+            [1.0, float("inf"), 2.0],
+        ]
+        for values in cases:
+            v = np.array(values)
+            with np.errstate(invalid="ignore"):
+                expected = float(np.max(np.abs(v - v[0])))
+                # the slope of a column holding inf is nan; only the deviation is pinned
+                got = summarize_drift(self._records(values), "x").max_abs_dev
+            if math.isnan(expected):
+                assert math.isnan(got), values
+            else:
+                assert struct.pack("<d", got) == struct.pack("<d", expected), values
+        records = run_scenario(default_config("rigidbody", "lp_exp", steps=300))
+        v = np.array([rec.value("energy") for rec in records])
+        expected = float(np.max(np.abs(v - v[0])))
+        got = summarize_drift(records, "energy").max_abs_dev
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
 
 class TestCompare:
     def test_four_rows(self):
@@ -389,6 +432,15 @@ class TestCli:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+        # a one-step compare has no deviation to report
+        code = cli.main(
+            [
+                "compare", "--scenario", "rigidbody", "--integrators", "lp_exp",
+                "--steps", "1",
+            ]
+        )
+        assert code == 1
+        assert "need at least two records" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scenario, integrator, dt, params, cause",
@@ -491,6 +543,12 @@ class TestCli:
                             "--steps", "3", "--out", out]
                     assert cli.main(argv) == 0, argv
                     assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+            for scenario in ("rigidbody", "heavytop"):
+                argv = ["compare", "--scenario", scenario,
+                        "--integrators", ",".join(bench.COMPAT[scenario]),
+                        "--steps", "3"]
+                assert cli.main(argv) == 0, argv
+                assert "numpy" not in sys.modules, f"{argv} loaded numpy"
             # a flat run does load it, so the checks above are not vacuous
             argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
                     "--steps", "1", "--out", out]

@@ -7,13 +7,16 @@ one-step errors must shrink by a factor of about four when the step halves.
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from geomint import so3
-from geomint.errors import NoConvergence
-from geomint.geometry import cayley_retraction, exp_retraction
+from geomint.errors import GeomintError, NoConvergence
+from geomint.geometry import CAYLEY_TAG, EXP_TAG, cayley_retraction, exp_retraction
 from geomint.integrators import (
     HeavyTopState,
     QuadrotorInput,
@@ -28,6 +31,10 @@ from geomint.integrators import (
     quadrotor_step,
     quat_rk4_step,
     rkmk4_step,
+    _check_exp_chart,
+    _heavytop_eval,
+    _solve_body_omega,
+    _solve_heavytop_omega,
 )
 from geomint.mechanics import (
     HeavyTopParams,
@@ -37,17 +44,29 @@ from geomint.mechanics import (
     rigidbody_energy,
 )
 from geomint.odecore import (
+    DEFAULT_NEWTON,
+    NewtonSettings,
+    newton_solve,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
 )
 from geomint.so3 import (
     Rotation,
+    _coeff_a,
+    _coeff_b,
+    _coeff_da,
+    _coeff_db,
+    _sinc,
+    cross,
     dot,
     exp_so3,
     mat_T_vec,
     mat_vec,
     norm,
+    solve3,
+    vec_add,
     vec_scale,
+    vec_sub,
 )
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -654,3 +673,287 @@ class TestBaselines:
         for _ in range(2000):
             s = rkmk4_step(HT_PARAMS, s, 0.01)
         assert abs(dot(s.Gamma, s.Gamma) - 1.0) > 1e-12
+
+
+# --- bitwise oracles for the written-out rotational kernels -----------------------
+#
+# The references below are the helper-composed forms of the kernels (so3.cross,
+# vec_add, vec_scale, mat_vec), kept here verbatim.  The kernels in
+# integrators must perform the same IEEE operations in the same order, so the
+# outputs agree bit for bit, signs of zeros included.
+
+def _solve_body_omega_reference(params, pi, dt, tag, settings):
+    inertia = params.inertia
+    omega = mat_vec(params.inertia_inv, pi)
+    tol = settings.tol
+    exp_tag = tag == EXP_TAG
+
+    for _ in range(settings.max_iter):
+        y = (dt * omega[0], dt * omega[1], dt * omega[2])
+        w1 = cross(y, pi)  # hat(y) Pi
+        w2 = cross(y, w1)  # hat(y)^2 Pi
+        if exp_tag:
+            theta = norm(y)
+            a = _coeff_a(theta)
+            b = _coeff_b(theta)
+            da = _coeff_da(theta)
+            db = _coeff_db(theta)
+            lhs = (
+                pi[0] - a * w1[0] + b * w2[0],
+                pi[1] - a * w1[1] + b * w2[1],
+                pi[2] - a * w1[2] + b * w2[2],
+            )
+        else:
+            c = 1.0 / (1.0 + 0.25 * dot(y, y))
+            lhs = (
+                c * (pi[0] - 0.5 * w1[0]),
+                c * (pi[1] - 0.5 * w1[1]),
+                c * (pi[2] - 0.5 * w1[2]),
+            )
+        i_omega = mat_vec(inertia, omega)
+        res = (lhs[0] - i_omega[0], lhs[1] - i_omega[1], lhs[2] - i_omega[2])
+        if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
+            if exp_tag:
+                _check_exp_chart(theta)
+            return omega
+
+        cols = []
+        for j in range(3):
+            e: list[float] = [0.0, 0.0, 0.0]
+            e[j] = 1.0
+            ej = (e[0], e[1], e[2])
+            ejp = cross(ej, pi)
+            if exp_tag:
+                yej = y[j]
+                dcol = vec_add(
+                    vec_sub(
+                        vec_scale(vec_add(cross(y, ejp), cross(ej, w1)), b),
+                        vec_scale(ejp, a),
+                    ),
+                    vec_add(
+                        vec_scale(w1, -da * yej), vec_scale(w2, db * yej)
+                    ),
+                )
+            else:
+                p1 = (
+                    pi[0] - 0.5 * w1[0],
+                    pi[1] - 0.5 * w1[1],
+                    pi[2] - 0.5 * w1[2],
+                )
+                dcol = vec_sub(
+                    vec_scale(p1, -0.5 * c * c * y[j]), vec_scale(ejp, 0.5 * c)
+                )
+            cols.append(
+                (
+                    dt * dcol[0] - inertia[0][j],
+                    dt * dcol[1] - inertia[1][j],
+                    dt * dcol[2] - inertia[2][j],
+                )
+            )
+        jac = (
+            (cols[0][0], cols[1][0], cols[2][0]),
+            (cols[0][1], cols[1][1], cols[2][1]),
+            (cols[0][2], cols[1][2], cols[2][2]),
+        )
+        step = solve3(jac, res)
+        omega = (omega[0] - step[0], omega[1] - step[1], omega[2] - step[2])
+
+    raise NoConvergence(settings.max_iter, max(abs(r) for r in res))
+
+
+def _heavytop_eval_reference(inertia, pi, gamma, omega, dt, z, tag):
+    y = (dt * omega[0], dt * omega[1], dt * omega[2])
+    theta = norm(y)
+
+    if tag == EXP_TAG:
+        a = _coeff_a(theta)
+        b = _coeff_b(theta)
+        s = _sinc(theta)
+        yz = cross(y, z)
+        yyz = cross(y, yz)
+        d = (z[0] + a * yz[0] + b * yyz[0],
+             z[1] + a * yz[1] + b * yyz[1],
+             z[2] + a * yz[2] + b * yyz[2])
+        lifted = vec_add(pi, cross(gamma, d))
+        c1 = cross(y, lifted)
+        c2 = cross(y, c1)
+        pi_new = (lifted[0] - s * c1[0] + a * c2[0],
+                  lifted[1] - s * c1[1] + a * c2[1],
+                  lifted[2] - s * c1[2] + a * c2[2])
+        g1 = cross(y, gamma)
+        g2 = cross(y, g1)
+        gamma_new = (gamma[0] - s * g1[0] + a * g2[0],
+                     gamma[1] - s * g1[1] + a * g2[1],
+                     gamma[2] - s * g1[2] + a * g2[2])
+        p1 = cross(y, pi_new)
+        p2 = cross(y, p1)
+        jp = (pi_new[0] + a * p1[0] + b * p2[0],
+              pi_new[1] + a * p1[1] + b * p2[1],
+              pi_new[2] + a * p1[2] + b * p2[2])
+        da = _coeff_da(theta)
+        db = _coeff_db(theta)
+        ydz = dot(y, z)
+        zv = cross(z, gamma_new)
+        yv = cross(y, gamma_new)
+        qv = vec_add(
+            vec_add(vec_scale(zv, a),
+                    vec_scale(vec_add(cross(y, zv), cross(z, yv)), b)),
+            vec_add(vec_scale(yv, da * ydz),
+                    vec_scale(cross(y, yv), db * ydz)),
+        )
+        lhs = vec_add(jp, qv)
+    else:
+        w = (0.5 * y[0], 0.5 * y[1], 0.5 * y[2])
+        c2w = 1.0 / (1.0 + dot(w, w))
+        wz = cross(w, z)
+        wdz = dot(w, z)
+        d = (c2w * (z[0] + wz[0] + wdz * w[0]),
+             c2w * (z[1] + wz[1] + wdz * w[1]),
+             c2w * (z[2] + wz[2] + wdz * w[2]))
+        lifted = vec_add(pi, cross(gamma, d))
+        lv = cross(w, lifted)
+        lvv = cross(w, lv)
+        pi_new = (lifted[0] - 2.0 * c2w * (lv[0] - lvv[0]),
+                  lifted[1] - 2.0 * c2w * (lv[1] - lvv[1]),
+                  lifted[2] - 2.0 * c2w * (lv[2] - lvv[2]))
+        gv = cross(w, gamma)
+        gvv = cross(w, gv)
+        gamma_new = (gamma[0] - 2.0 * c2w * (gv[0] - gvv[0]),
+                     gamma[1] - 2.0 * c2w * (gv[1] - gvv[1]),
+                     gamma[2] - 2.0 * c2w * (gv[2] - gvv[2]))
+        inner = vec_add(pi_new, vec_scale(cross(z, gamma_new), 0.5))
+        wi = cross(w, inner)
+        lhs = (c2w * (inner[0] + wi[0]),
+               c2w * (inner[1] + wi[1]),
+               c2w * (inner[2] + wi[2]))
+
+    i_omega = mat_vec(inertia, omega)
+    return vec_sub(lhs, i_omega), d, pi_new, gamma_new
+
+
+def _solve_heavytop_omega_reference(params, pi, gamma, dt, z, tag, settings):
+    inertia = params.inertia
+    inv = params.inertia_inv
+    omega = mat_vec(inv, pi)
+    tol = settings.tol
+    fp_budget = max(12, settings.max_iter // 2)
+    for _ in range(fp_budget):
+        res, d, pi_new, gamma_new = _heavytop_eval_reference(
+            inertia, pi, gamma, omega, dt, z, tag
+        )
+        if max(abs(res[0]), abs(res[1]), abs(res[2])) <= tol:
+            return omega, d, pi_new, gamma_new
+        omega = vec_add(omega, mat_vec(inv, res))
+
+    def residual(arr):
+        r, _, _, _ = _heavytop_eval_reference(
+            inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag
+        )
+        return np.array(r)
+
+    sol = newton_solve(residual, np.array(omega), settings)
+    omega = (sol[0], sol[1], sol[2])
+    _, d, pi_new, gamma_new = _heavytop_eval_reference(
+        inertia, pi, gamma, omega, dt, z, tag
+    )
+    return omega, d, pi_new, gamma_new
+
+
+def _bits(value):
+    """Bit patterns of every float in a nested tuple; tells -0.0 from 0.0."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return struct.pack("<d", value)
+
+
+def _outcome(fn, *args):
+    """('ok', bits of the result) or ('raised', exception type, message)."""
+    try:
+        out = fn(*args)
+    except GeomintError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok", _bits(out), out)
+
+
+_component = st.floats(-5.0, 5.0)
+_vectors = st.tuples(_component, _component, _component)
+_tags = st.sampled_from([EXP_TAG, CAYLEY_TAG])
+# steps well inside the chart, and steps that leave it (or stall the solve)
+_steps = st.one_of(st.floats(1e-4, 0.2), st.floats(0.2, 60.0))
+_settings = st.sampled_from([DEFAULT_NEWTON, NewtonSettings(max_iter=2)])
+
+
+@st.composite
+def _inertias(draw, scales=(1.0,)):
+    """Symmetric positive definite inertia: positive diagonal, small coupling.
+
+    At the scale 3e-5 the Newton Jacobian dt K - I can fall under the 1e-14
+    determinant guard of solve3, which draws SingularMatrix.
+    """
+    scale = draw(st.sampled_from(scales))
+    diag = [scale * draw(st.floats(1.0, 100.0)) for _ in range(3)]
+    off = [draw(st.floats(-0.3, 0.3)) for _ in range(3)]
+    m01 = off[0] * math.sqrt(diag[0] * diag[1])
+    m02 = off[1] * math.sqrt(diag[0] * diag[2])
+    m12 = off[2] * math.sqrt(diag[1] * diag[2])
+    return ((diag[0], m01, m02), (m01, diag[1], m12), (m02, m12, diag[2]))
+
+
+@st.composite
+def _unit_vectors(draw):
+    v = draw(_vectors)
+    n = norm(v)
+    assume(n > 1e-3)
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+_STOCK_INERTIA = ((1.0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 100.0))
+
+
+class TestKernelOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_inertias(scales=(1.0, 3e-5)), _vectors, _steps, _tags, _settings)
+    # each way out of the solve, and signed zeros in Pi
+    @example(_STOCK_INERTIA, (1.0, 1.0, 1.0), 50.0, EXP_TAG, DEFAULT_NEWTON)
+    @example(_STOCK_INERTIA, (1.0, 1.0, 1.0), 0.5, CAYLEY_TAG, NewtonSettings(max_iter=2))
+    @example(
+        ((2e-5, 0.0, 0.0), (0.0, 3e-5, 0.0), (0.0, 0.0, 4e-5)),
+        (1.0, 1.0, 1.0), 5e-5, EXP_TAG, DEFAULT_NEWTON,
+    )
+    @example(_STOCK_INERTIA, (0.0, -0.0, 1.0), 0.01, EXP_TAG, DEFAULT_NEWTON)
+    @example(_STOCK_INERTIA, (-0.0, 2.0, 0.0), 0.01, CAYLEY_TAG, DEFAULT_NEWTON)
+    def test_solve_body_omega_bitwise(self, inertia, pi, dt, tag, newton):
+        params = RigidBodyParams(inertia)
+        new = _outcome(_solve_body_omega, params, pi, dt, tag, newton)
+        ref = _outcome(_solve_body_omega_reference, params, pi, dt, tag, newton)
+        assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _inertias(), _vectors, _unit_vectors(), _vectors, _steps,
+        st.tuples(*[st.floats(-1.5, 1.5)] * 3), st.floats(0.1, 300.0), _tags,
+    )
+    def test_heavytop_eval_bitwise(self, inertia, pi, gamma, omega, dt, chi, g, tag):
+        z = vec_scale(chi, dt * g)
+        new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+        ref = _heavytop_eval_reference(inertia, pi, gamma, omega, dt, z, tag)
+        assert new == ref
+        assert _bits(new) == _bits(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _inertias(), _vectors, _unit_vectors(), st.floats(1e-3, 0.2),
+        st.tuples(*[st.floats(-1.5, 1.5)] * 3), st.floats(0.1, 300.0), _tags,
+    )
+    # stiff enough for the Newton fallback
+    @example(
+        _STOCK_INERTIA, (1.0, 1.0, 1.0), (0.6, 0.0, 0.8), 0.2, (0.5, -0.5, 0.7),
+        300.0, CAYLEY_TAG,
+    )
+    def test_solve_heavytop_omega_bitwise(self, inertia, pi, gamma, dt, chi, g, tag):
+        params = HeavyTopParams(inertia=inertia, m=1.0, g=g, chi=chi)
+        z = vec_scale(params.chi, dt * params.m * params.g)
+        args = (params, pi, gamma, dt, z, tag, DEFAULT_NEWTON)
+        new = _outcome(_solve_heavytop_omega, *args)
+        ref = _outcome(_solve_heavytop_omega_reference, *args)
+        assert new == ref

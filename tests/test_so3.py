@@ -7,9 +7,12 @@ truncated 4x4 series for the SE(3) translation block.
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomint import so3
 from geomint.errors import NearPiRotation, NotSkew, SingularCayley, SingularMatrix
@@ -422,3 +425,49 @@ class TestRotationType:
     def test_se3_element_checks_translation(self):
         with pytest.raises(ValueError):
             so3.SE3Element(rot=Rotation.identity(), trans=(math.inf, 0.0, 0.0))
+
+
+def _orthogonality_defect_reference(m):
+    """Loop form of ||m^T m - I||_F, in the kernel's accumulation order."""
+    total = 0.0
+    for i in range(3):
+        for j in range(i, 3):
+            g = (
+                m[0][i] * m[0][j]
+                + m[1][i] * m[1][j]
+                + m[2][i] * m[2][j]
+            )
+            if i == j:
+                g -= 1.0
+                total += g * g
+            else:
+                total += 2.0 * g * g
+    return math.sqrt(total)
+
+
+_entries = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True)
+)
+_rows = st.tuples(_entries, _entries, _entries)
+
+
+@st.composite
+def _near_rotations(draw):
+    """exp of a drawn rotation vector, each entry nudged by up to 1e-9."""
+    v = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    m = so3._exp_matrix(v)
+    return tuple(
+        tuple(x + draw(st.floats(-1e-9, 1e-9)) for x in row) for row in m
+    )
+
+
+class TestOrthogonalityDefectOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.tuples(_rows, _rows, _rows), _near_rotations()))
+    def test_matches_loop_form_bitwise(self, m):
+        new = so3.orthogonality_defect_mat(m)
+        ref = _orthogonality_defect_reference(m)
+        if math.isnan(ref):
+            assert math.isnan(new)
+        else:
+            assert struct.pack("<d", new) == struct.pack("<d", ref)
