@@ -33,7 +33,7 @@ from .errors import (
     UnknownColumn,
     UnknownKey,
 )
-from .geometry import cayley_retraction, exp_retraction
+from .geometry import CAYLEY_TAG, EXP_TAG, cayley_retraction, exp_retraction
 from .so3 import Rotation, Vec3
 
 FLAT_SCENARIOS = ("harmonic", "kepler", "pendulum_embedded")
@@ -115,7 +115,6 @@ _DEFAULTS: dict[str, dict] = {
             "p0": (0.0, 0.0, 0.0),
             "F": None,  # defaults to m*g (hover thrust)
             "M": (0.0, 0.0, 0.0),
-            "as_printed": 0.0,
         },
     },
 }
@@ -182,6 +181,12 @@ class ScenarioConfig:
             raise UnknownKey(f"unknown integrator {self.integrator!r}")
         if self.integrator not in COMPAT[self.scenario]:
             raise IncompatiblePair(self.scenario, self.integrator)
+        for key in ("dt", "theta"):
+            value = getattr(self, key)
+            # a list or a word from a config file lands here too
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
@@ -250,13 +255,6 @@ def _parse_value(text: str):
         return text
 
 
-def _number(key: str, value) -> float:
-    """dt or theta as a float; a list or a word from a config file raises, naming the key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def parse_config(
     path: str | None = None, overrides: dict | None = None
 ) -> ScenarioConfig:
@@ -289,24 +287,12 @@ def parse_config(
         raise UnknownKey("config must define 'integrator'")
     scenario = str(raw.pop("scenario"))
     integrator = str(raw.pop("integrator"))
-    if scenario not in SCENARIOS:
-        raise UnknownKey(f"unknown scenario {scenario!r}")
-
-    base = _DEFAULTS[scenario]
-    dt = _number("dt", raw.pop("dt", base["dt"]))
-    steps = raw.pop("steps", base["steps"])
+    run = {key: raw.pop(key) for key in ("dt", "steps", "theta") if key in raw}
+    steps = run.get("steps")
     if isinstance(steps, float) and steps.is_integer():
         # a file value parses as a float; only whole finite ones are step counts
-        steps = int(steps)
-    theta = _number("theta", raw.pop("theta", 0.5))
-    return ScenarioConfig(
-        scenario=scenario,
-        integrator=integrator,
-        dt=dt,
-        steps=steps,
-        theta=theta,
-        params=raw,
-    )
+        run["steps"] = int(steps)
+    return default_config(scenario, integrator, params=raw, **run)
 
 
 # --- runners -------------------------------------------------------------------------
@@ -532,8 +518,7 @@ def _iter_quadrotor(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     dt = config.dt
     thrust = p["F"] if p["F"] is not None else params.m * params.g
     u = gi.QuadrotorInput(M=tuple(p["M"]), F=float(thrust))  # type: ignore[arg-type]
-    legacy = bool(p["as_printed"])
-    tag = "exp" if config.integrator == "lp_exp" else "cayley"
+    tag = EXP_TAG if config.integrator == "lp_exp" else CAYLEY_TAG
     state = gi.QuadrotorState(
         R=Rotation.identity(),
         Pi=tuple(p["Pi0"]),  # type: ignore[arg-type]
@@ -541,9 +526,7 @@ def _iter_quadrotor(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
         p=tuple(p["p0"]),  # type: ignore[arg-type]
     )
     for k in range(1, config.steps + 1):
-        state = gi.quadrotor_step(
-            params, state, u, dt, tag=tag, legacy_momentum=legacy
-        )
+        state = gi.quadrotor_step(params, state, u, dt, tag=tag)
         yield TrajectoryRecord(
             k,
             k * dt,
@@ -648,7 +631,8 @@ def _max_abs_dev(records: Sequence[TrajectoryRecord], column: str) -> float:
     if len(records) < 2:
         raise ValueError("need at least two records")
     cols = records[0].columns
-    if column not in cols:
+    # step and t live outside rec.values; indexing them would read a value column
+    if column not in cols[2:]:
         raise UnknownColumn(column)
     idx = cols.index(column) - 2
     initial = records[0].values[idx]

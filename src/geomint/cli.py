@@ -38,8 +38,6 @@ def _cmd_run(args) -> int:
         overrides["steps"] = args.steps
     if args.theta is not None:
         overrides["theta"] = args.theta
-    if args.as_printed:
-        overrides["as_printed"] = 1.0
     config = bench.parse_config(args.config, overrides)
     records = bench.run_scenario(config)
     bench.write_csv(records, args.out)
@@ -75,8 +73,16 @@ def _cmd_check(args) -> int:
     return selfcheck.run_checks()
 
 
+class _UsageParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own 2 is the integrator-failure code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _UsageParser(
         prog="geomint",
         description="Structure-preserving integrator benchmarks",
     )
@@ -94,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help="model parameter override (repeatable)",
-    )
-    run_p.add_argument(
-        "--as-printed",
-        action="store_true",
-        help="quadrotor only: use the sign-reversed legacy momentum update",
     )
     run_p.add_argument("--config", default=None, help="flat key = value config file")
     run_p.add_argument("--out", required=True, help="output CSV path")

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import so3
-from .errors import DimMismatch, GeomintError, OutOfChart
+from . import odecore, so3
+from .errors import DimMismatch, GeomintError, NoConvergence, OutOfChart, SingularJacobian
 from .so3 import Mat3, Rotation, Vec3
 
 EXP_TAG = "exp"
@@ -141,19 +141,14 @@ def triv_discretize(
 
 
 def triv_discretize_inverse(
-    g1: Rotation,
-    g2: Rotation,
-    s: float,
-    ret: TrivializedRetraction,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    g1: Rotation, g2: Rotation, s: float, ret: TrivializedRetraction
 ) -> tuple[Rotation, Vec3]:
     """Recover (g, xi) from the pair (g tau(-s xi), g tau((1-s) xi)).
 
     For s = 0 this is tau_inv of the relative rotation; otherwise xi solves
-    tau((1-s) xi) = tau(-s xi) M with M = g1^-1 g2, by Newton on the residual
-    tau_inv(tau(-s xi) M) - (1-s) xi.  Raises OutOfChart when the relative
-    rotation leaves the injectivity domain or the iteration stalls.
+    tau((1-s) xi) = tau(-s xi) M with M = g1^-1 g2, by odecore.newton_solve on
+    the residual tau_inv(tau(-s xi) M) - (1-s) xi.  Raises OutOfChart when the
+    relative rotation leaves the injectivity domain or the iteration stalls.
     """
     m_rel = Rotation(so3.mat_mul(so3.mat_transpose(g1.m), g2.m))
     try:
@@ -163,7 +158,8 @@ def triv_discretize_inverse(
     if s == 0.0:
         return g1, xi
 
-    def residual(x: Vec3) -> Vec3:
+    def residual(x) -> Vec3:
+        x = tuple(x.tolist())
         head = ret.tau(so3.vec_scale(x, -s))
         try:
             y = ret.tau_inv(Rotation(so3.mat_mul(head.m, m_rel.m)))
@@ -171,25 +167,10 @@ def triv_discretize_inverse(
             raise OutOfChart(str(exc)) from exc
         return so3.vec_sub(y, so3.vec_scale(x, 1.0 - s))
 
-    h = 1e-7
-    for iteration in range(max_iter):
-        r0 = residual(xi)
-        if max(abs(c) for c in r0) <= tol:
-            break
-        cols = []
-        for i in range(3):
-            e = [0.0, 0.0, 0.0]
-            e[i] = h
-            rp = residual(so3.vec_add(xi, tuple(e)))  # type: ignore[arg-type]
-            rm = residual(so3.vec_sub(xi, tuple(e)))  # type: ignore[arg-type]
-            cols.append(so3.vec_scale(so3.vec_sub(rp, rm), 0.5 / h))
-        jac: Mat3 = tuple(
-            (cols[0][i], cols[1][i], cols[2][i]) for i in range(3)
-        )  # type: ignore[assignment]
-        step = so3.solve3(jac, r0)
-        xi = so3.vec_sub(xi, step)
-    else:
-        raise OutOfChart("discretization inverse did not converge")
+    try:
+        xi = tuple(odecore.newton_solve(residual, xi).tolist())
+    except (NoConvergence, SingularJacobian) as exc:
+        raise OutOfChart(f"discretization inverse: {exc}") from exc
     # g = D1 tau(-s xi)^-1, and tau(-v)^-1 = tau(v) for these retractions
     g = g1.multiply(ret.tau(so3.vec_scale(xi, s)))
     return g, xi

@@ -50,9 +50,7 @@ the coupling block Q (the directional derivative of the translation block).
 
 The quadrotor step reuses the free Lie-Poisson rotational step, adds the
 body-moment impulse dt*M, and advances the translation by symplectic Euler:
-p' = p + dt (-m g e3 + F R e3), q' = q + dt p'/m.  A ``legacy_momentum``
-flag flips the translational update to the sign-reversed historical form
-p' = -p + dt m g e3 - dt F R e3 for auditing.
+p' = p + dt (-m g e3 + F R e3), q' = q + dt p'/m.
 
 Baselines
 ---------
@@ -666,15 +664,12 @@ def quadrotor_step(
     dt: float,
     settings: NewtonSettings = DEFAULT_NEWTON,
     tag: str = EXP_TAG,
-    legacy_momentum: bool = False,
 ) -> QuadrotorState:
     """Forced rigid-body rotation plus symplectic-Euler translation.
 
     The rotational block is exactly the free left Lie-Poisson step (bitwise,
     for M = 0) followed by the moment impulse Pi' += dt M.  The translation
-    uses p' = p + dt (-m g e3 + F R e3) and q' = q + dt p'/m; with
-    ``legacy_momentum`` the sign-reversed form p' = -p + dt m g e3
-    - dt F R e3 is used instead.
+    uses p' = p + dt (-m g e3 + F R e3) and q' = q + dt p'/m.
     """
     r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, tag, settings)
     if u.M != (0.0, 0.0, 0.0):
@@ -684,18 +679,11 @@ def quadrotor_step(
     thrust = (u.F * r_mat[0][2], u.F * r_mat[1][2], u.F * r_mat[2][2])
     mg = params.m * params.g
     p = state.p
-    if legacy_momentum:
-        p_new = (
-            -p[0] - dt * thrust[0],
-            -p[1] - dt * thrust[1],
-            -p[2] + dt * mg - dt * thrust[2],
-        )
-    else:
-        p_new = (
-            p[0] + dt * thrust[0],
-            p[1] + dt * thrust[1],
-            p[2] + dt * (thrust[2] - mg),
-        )
+    p_new = (
+        p[0] + dt * thrust[0],
+        p[1] + dt * thrust[1],
+        p[2] + dt * (thrust[2] - mg),
+    )
     inv_m = dt / params.m
     q = state.q
     q_new = (q[0] + inv_m * p_new[0], q[1] + inv_m * p_new[1], q[2] + inv_m * p_new[2])

@@ -32,21 +32,22 @@ VectorField = Callable[["np.ndarray"], "np.ndarray"]
 SplitField = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
+# step of the central-difference Jacobian in newton_solve
+FD_STEP = 1e-7
+
+
 @dataclass(frozen=True)
 class NewtonSettings:
-    """Newton iteration controls: residual inf-norm target, cap, fd step."""
+    """Newton iteration controls: residual inf-norm target and iteration cap."""
 
     tol: float = 1e-12
     max_iter: int = 50
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 DEFAULT_NEWTON = NewtonSettings()
@@ -172,7 +173,7 @@ def newton_solve(
 
     x = np.array(x0, dtype=float)
     n = x.size
-    h = settings.fd_step
+    h = FD_STEP
     r = np.asarray(residual(x), dtype=float)
     for _ in range(settings.max_iter):
         if np.max(np.abs(r)) <= settings.tol:

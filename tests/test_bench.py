@@ -83,6 +83,9 @@ class TestConfig:
             )
         with pytest.raises(UnknownKey):
             default_config("harmonic", "rk4", seed=3)
+        # the quadrotor has a single translational update; no mode selects another
+        with pytest.raises(UnknownKey):
+            default_config("quadrotor_hover", "lp_exp", params={"as_printed": 1.0})
 
     def test_validation(self, tmp_path, capsys):
         with pytest.raises(ValueError):
@@ -107,6 +110,10 @@ class TestConfig:
             default_config(
                 "kepler", "rk4", params={"x0": (1.0, 0.0, float("inf"), 0.5)}
             )
+        with pytest.raises(ValueError, match="dt must be a number, got '0.1'"):
+            default_config("harmonic", "rk4", dt="0.1")
+        with pytest.raises(ValueError, match=r"theta must be a number, got \(0\.1"):
+            default_config("harmonic", "theta_family", theta=(0.1, 0.2))
         # the same inputs through the CLI, plus the model checks made when the
         # run is set up, exit 1 without writing a CSV
         out = tmp_path / "x.csv"
@@ -331,6 +338,15 @@ class TestSummarizeDrift:
         with pytest.raises(ValueError):
             summarize_drift(self._records([1.0]), "x")
 
+    def test_step_and_time_are_not_value_columns(self):
+        # step and t are not stored in rec.values, so no value index may stand in
+        records = run_scenario(default_config("kepler", "stormer_verlet", steps=5))
+        for column in ("step", "t"):
+            with pytest.raises(UnknownColumn):
+                summarize_drift(records, column)
+            with pytest.raises(UnknownColumn):
+                bench._max_abs_dev(records, column)
+
     def test_max_abs_dev_matches_numpy_bitwise(self):
         rng = np.random.default_rng(7)
         nan = float("nan")
@@ -441,6 +457,21 @@ class TestCli:
         )
         assert code == 1
         assert "need at least two records" in capsys.readouterr().err
+        # argparse's own usage errors exit 1 too; 2 means an integrator failure
+        run = ["run", "--scenario", "harmonic", "--integrator", "rk4"]
+        for args in (
+            [*run, "--as-printed"],
+            ["run", "--scenario", "nonsense", "--integrator", "rk4"],
+            [*run, "--steps", "abc"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([*args, "--out", str(tmp_path / "x.csv")])
+            assert exit_info.value.code == 1, args
+            assert "usage:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "-h"])
+        assert exit_info.value.code == 0
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "scenario, integrator, dt, params, cause",

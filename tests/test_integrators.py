@@ -592,23 +592,6 @@ class TestQuadrotor:
         s2 = quadrotor_step(self.Q_PARAMS, s, u, 0.01)
         assert abs(norm(s2.Pi) - norm(s.Pi)) > 1e-6
 
-    def test_legacy_momentum_form(self):
-        u = QuadrotorInput(M=(0.0, 0.0, 0.0), F=2.0)
-        s = QuadrotorState(
-            R=Rotation.identity(), Pi=(0.0, 0.0, 0.0), q=(0.0, 0.0, 0.0),
-            p=(0.3, 0.0, 0.1),
-        )
-        dt = 0.01
-        out = quadrotor_step(self.Q_PARAMS, s, u, dt, legacy_momentum=True)
-        mg = self.Q_PARAMS.m * self.Q_PARAMS.g
-        expected_p = (
-            -0.3 - dt * 2.0 * 0.0,
-            0.0,
-            -0.1 + dt * mg - dt * 2.0 * 1.0,
-        )
-        assert _vec_err(out.p, expected_p) < 1e-15
-        assert _vec_err(out.q, vec_scale(out.p, dt / self.Q_PARAMS.m)) < 1e-15
-
 
 class TestBaselines:
     def test_quat_rk4_attitude_orthogonal(self):

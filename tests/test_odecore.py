@@ -92,8 +92,6 @@ class TestNewton:
             NewtonSettings(tol=0.0)
         with pytest.raises(ValueError):
             NewtonSettings(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonSettings(fd_step=-1.0)
 
 
 class TestEulerSteps:

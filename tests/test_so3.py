@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from geomint import so3
 from geomint.errors import NearPiRotation, NotSkew, SingularCayley, SingularMatrix
+from geomint.selfcheck import _fd_dlog
 from geomint.so3 import (
     Ad_star_so3,
     Q_mat,
@@ -31,7 +32,6 @@ from geomint.so3 import (
     hat,
     log_so3,
     mat_mul,
-    mat_transpose,
     mat_vec,
     norm,
     solve3,
@@ -55,16 +55,6 @@ def _series_exp(v, terms=40):
         term = term @ m / k
         out = out + term
     return out
-
-
-def _fd_dlog(tau_matrix, y, eta, h=1e-5):
-    """Left logarithmic derivative of tau at y in direction eta, by central fd."""
-    rp = tau_matrix(vec_add(y, vec_scale(eta, h)))
-    rm = tau_matrix(vec_sub(y, vec_scale(eta, h)))
-    diff = tuple(
-        tuple((rp[i][j] - rm[i][j]) / (2.0 * h) for j in range(3)) for i in range(3)
-    )
-    return so3._vee_unchecked(mat_mul(mat_transpose(tau_matrix(y)), diff))
 
 
 class TestHatVee:
