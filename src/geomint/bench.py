@@ -346,10 +346,10 @@ def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     ratio = hp.k / hp.m
 
     def f1(q, v):
-        return np.asarray(v, dtype=float)
+        return v
 
     def f2(q, v):
-        return -ratio * np.asarray(q, dtype=float)
+        return -ratio * q
 
     step = _flat_stepper(config, f, f1, f2)
     cols = _COLUMNS["harmonic"]
@@ -368,15 +368,19 @@ def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     energy = mech.kepler_energy(kp)
     angmom = mech.kepler_angmom(kp)
 
+    mu = kp.mu
+
     def f1(q, v):
-        return np.asarray(v, dtype=float)
+        return v
 
     def f2(q, v):
-        q = np.asarray(q, dtype=float)
-        r2 = q @ q
-        if r2 == 0.0:
+        # numpy's two-term dot rounds like fma(q1, q1, q0 q0), so it stays on numpy
+        r2 = float(q.dot(q))
+        r3 = r2 * math.sqrt(r2)
+        # zero at r = 0, and also where |r|^3 underflows (|r| below about 1e-108)
+        if r3 == 0.0:
             raise SingularOrigin("Kepler state at r = 0")
-        return -kp.mu / (r2 * math.sqrt(r2)) * q
+        return -mu / r3 * q
 
     step = _flat_stepper(config, f, f1, f2)
     cols = _COLUMNS["kepler"]
@@ -582,12 +586,11 @@ def write_csv(records: Sequence[TrajectoryRecord], path: str) -> None:
     if not records:
         raise ValueError("no records to write")
     cols = records[0].columns
+    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for rec in records:
-            fields = [str(rec.step), "%.17g" % rec.t]
-            fields.extend("%.17g" % v for v in rec.values)
-            fh.write(",".join(fields) + "\n")
+            fh.write(row % ((rec.step, rec.t) + tuple(rec.values)))
 
 
 def read_csv(path: str) -> list[TrajectoryRecord]:

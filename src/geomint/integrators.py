@@ -196,9 +196,14 @@ def implicit_disc_step(
         # the relation is explicit; this is exactly the forward Euler update
         return x + h * np.asarray(f(x), dtype=float)
 
+    xs = x.tolist()
+    cx = [(1.0 - theta) * v for v in xs]
+
     def residual(y: np.ndarray) -> np.ndarray:
-        mid = (1.0 - theta) * x + theta * y
-        return y - x - h * np.asarray(f(mid), dtype=float)
+        ys = y.tolist()
+        mid = np.array([a + theta * b for a, b in zip(cx, ys)])
+        fm = np.asarray(f(mid), dtype=float).ravel().tolist()
+        return np.array([a - b - h * c for a, b, c in zip(ys, xs, fm)])
 
     return newton_solve(residual, x, settings)
 
@@ -223,19 +228,22 @@ def cotangent_theta_step(
         return symplectic_euler_b_step(f1, f2, q, p, h, settings)
 
     n = q.size
+    qp = q.tolist() + p.tolist()
+    # the fixed halves of the midpoints: (1 - theta) q and theta p
+    fixed = [(1.0 - theta) * v for v in qp[:n]] + [theta * v for v in qp[n:]]
+    weights = [theta] * n + [1.0 - theta] * n
 
     def residual(flat: np.ndarray) -> np.ndarray:
-        qn, pn = flat[:n], flat[n:]
-        qm = (1.0 - theta) * q + theta * qn
-        pm = theta * p + (1.0 - theta) * pn
-        return np.concatenate(
-            [
-                qn - q - h * np.asarray(f1(qm, pm), dtype=float),
-                pn - p - h * np.asarray(f2(qm, pm), dtype=float),
-            ]
+        v = flat.tolist()
+        mid = [a + w * b for a, w, b in zip(fixed, weights, v)]
+        qm, pm = np.array(mid[:n]), np.array(mid[n:])
+        g = (
+            np.asarray(f1(qm, pm), dtype=float).ravel().tolist()
+            + np.asarray(f2(qm, pm), dtype=float).ravel().tolist()
         )
+        return np.array([a - b - h * c for a, b, c in zip(v, qp, g)])
 
-    sol = newton_solve(residual, np.concatenate([q, p]), settings)
+    sol = newton_solve(residual, np.array(qp), settings)
     return sol[:n], sol[n:]
 
 

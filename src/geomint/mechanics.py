@@ -43,7 +43,8 @@ def ho_vectorfield(params: HarmonicOscillatorParams) -> Callable[[np.ndarray], n
     ratio = params.k / params.m
 
     def f(x: np.ndarray) -> np.ndarray:
-        return np.array([x[1], -ratio * x[0]])
+        q, v = x.tolist()
+        return np.array([v, -ratio * q])
 
     return f
 
@@ -77,11 +78,14 @@ def kepler_vectorfield(params: KeplerParams) -> Callable[[np.ndarray], np.ndarra
     mu = params.mu
 
     def f(x: np.ndarray) -> np.ndarray:
-        r2 = x[0] * x[0] + x[1] * x[1]
-        if r2 == 0.0:
+        rx, ry, vx, vy = x.tolist()
+        r2 = rx * rx + ry * ry
+        r3 = r2 * math.sqrt(r2)
+        # zero at r = 0, and also where |r|^3 underflows (|r| below about 1e-108)
+        if r3 == 0.0:
             raise SingularOrigin("Kepler state at r = 0")
-        coeff = -mu / (r2 * math.sqrt(r2))
-        return np.array([x[2], x[3], coeff * x[0], coeff * x[1]])
+        coeff = -mu / r3
+        return np.array([vx, vy, coeff * rx, coeff * ry])
 
     return f
 
@@ -126,8 +130,11 @@ def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     """Canonical form (theta, p) -> (p/ml2, -mgl sin theta)."""
     import numpy as np
 
+    ml2, mgl = params.ml2, params.mgl
+
     def f(x: np.ndarray) -> np.ndarray:
-        return np.array([x[1] / params.ml2, -params.mgl * math.sin(x[0])])
+        theta, p = x.tolist()
+        return np.array([p / ml2, -mgl * math.sin(theta)])
 
     return f
 
@@ -149,14 +156,11 @@ def pendulum_embedded_vf(params: PendulumParams) -> Callable[[np.ndarray], np.nd
     """
     import numpy as np
 
+    ml2, mgl = params.ml2, params.mgl
+
     def f(s: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                -s[1] * s[2] / params.ml2,
-                s[0] * s[2] / params.ml2,
-                -params.mgl * s[1],
-            ]
-        )
+        x, y, z = s.tolist()
+        return np.array([-y * z / ml2, x * z / ml2, -mgl * y])
 
     return f
 

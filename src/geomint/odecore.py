@@ -21,6 +21,7 @@ the direct form is explicit for separable systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,10 +45,11 @@ class NewtonSettings:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        # a nan tol fails every solve and an infinite one returns the guess unsolved
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if type(self.max_iter) is not int or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an int of at least 1, got {self.max_iter!r}")
 
 
 DEFAULT_NEWTON = NewtonSettings()
@@ -63,23 +65,24 @@ class ButcherTableau:
     def __post_init__(self):
         import numpy as np
 
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        a = np.atleast_2d(np.array(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"stage matrix must be square, got {a.shape}")
         if b.shape != (a.shape[0],):
             raise ValueError("len(b) must equal the stage count")
+        # a is a read-only copy, so the explicit flag computed here stays true
+        a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_explicit", bool(np.all(np.triu(a) == 0.0)))
 
     @property
     def stages(self) -> int:
         return len(self.b)
 
     def is_explicit(self) -> bool:
-        import numpy as np
-
-        return bool(np.all(np.triu(self.a) == 0.0))
+        return self._explicit
 
 
 @dataclass(frozen=True)
@@ -174,27 +177,27 @@ def newton_solve(
     x = np.array(x0, dtype=float)
     n = x.size
     h = FD_STEP
+    tol = settings.tol
+    # rows x + h e_i, then x - h e_i; the -0.0 off the diagonal of -hI keeps
+    # each point bitwise equal to x - h e_i, signed zeros included
+    shift = h * np.eye(n)
+    shifts = np.concatenate([shift, -shift])
     r = np.asarray(residual(x), dtype=float)
     for _ in range(settings.max_iter):
-        if np.max(np.abs(r)) <= settings.tol:
+        # false for a nan entry, as the inf-norm test would be
+        if all(abs(v) <= tol for v in r.tolist()):
             return x
-        jac = np.empty((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            jac[:, i] = (
-                np.asarray(residual(x + e), dtype=float)
-                - np.asarray(residual(x - e), dtype=float)
-            ) / (2.0 * h)
+        vals = np.array([residual(pt) for pt in x + shifts], dtype=float)
+        jac = ((vals[:n] - vals[n:]) / (2.0 * h)).T
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step.tolist())):
             raise SingularJacobian("non-finite Newton step")
         x = x - step
         r = np.asarray(residual(x), dtype=float)
-    if np.max(np.abs(r)) <= settings.tol:
+    if all(abs(v) <= tol for v in r.tolist()):
         return x
     raise NoConvergence(settings.max_iter, float(np.max(np.abs(r))))
 
@@ -219,9 +222,12 @@ def implicit_euler_step(
     import numpy as np
 
     x = np.asarray(x, dtype=float)
+    xs = x.tolist()
 
     def residual(y: np.ndarray) -> np.ndarray:
-        return y - x - h * np.asarray(f(y), dtype=float)
+        # raveled, since a field may return a scalar on a one-dimensional state
+        fy = np.asarray(f(y), dtype=float).ravel().tolist()
+        return np.array([a - b - h * c for a, b, c in zip(y.tolist(), xs, fy)])
 
     return newton_solve(residual, x, settings)
 
@@ -243,9 +249,11 @@ def symplectic_euler_a_step(
 
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    vs = v.tolist()
 
     def residual(w: np.ndarray) -> np.ndarray:
-        return w - v - h * np.asarray(f2(q, w), dtype=float)
+        g = np.asarray(f2(q, w), dtype=float).ravel().tolist()
+        return np.array([a - b - h * c for a, b, c in zip(w.tolist(), vs, g)])
 
     v_new = newton_solve(residual, v, settings)
     q_new = q + h * np.asarray(f1(q, v_new), dtype=float)
@@ -265,9 +273,11 @@ def symplectic_euler_b_step(
 
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    qs = q.tolist()
 
     def residual(w: np.ndarray) -> np.ndarray:
-        return w - q - h * np.asarray(f1(w, v), dtype=float)
+        g = np.asarray(f1(w, v), dtype=float).ravel().tolist()
+        return np.array([a - b - h * c for a, b, c in zip(w.tolist(), qs, g)])
 
     q_new = newton_solve(residual, q, settings)
     v_new = v + h * np.asarray(f2(q_new, v), dtype=float)
@@ -335,29 +345,48 @@ def prk_step(
     p = np.asarray(p, dtype=float)
     s = ptab.stages
     n = q.size
-    a, b, ah, bh = ptab.a, ptab.b, ptab.a_hat, ptab.b_hat
+    sn = s * n
+    qs, ps = q.tolist(), p.tolist()
+    rows, rows_hat = ptab.a.tolist(), ptab.a_hat.tolist()
+    # where slope j of k, and of l, starts in the flat unknown (k_1..k_s, l_1..l_s)
+    k_starts = [j * n for j in range(s)]
+    l_starts = [sn + j * n for j in range(s)]
 
     def residual(flat: np.ndarray) -> np.ndarray:
-        k = flat[: s * n].reshape(s, n)
-        l = flat[s * n :].reshape(s, n)
-        out = np.empty(2 * s * n)
-        for i in range(s):
-            qi = q + h * (a[i] @ k)
-            pi = p + h * (ah[i] @ l)
-            out[i * n : (i + 1) * n] = k[i] - np.asarray(f1(qi, pi), dtype=float)
-            out[(s + i) * n : (s + i + 1) * n] = l[i] - np.asarray(
-                f2(qi, pi), dtype=float
-            )
-        return out
+        v = flat.tolist()
+        fk, fl = [], []
+        for row, row_hat in zip(rows, rows_hat):
+            qi = np.array(_stage_point(qs, h, row, v, k_starts))
+            pi = np.array(_stage_point(ps, h, row_hat, v, l_starts))
+            fk.append(f1(qi, pi))
+            fl.append(f2(qi, pi))
+        return flat - np.concatenate(fk + fl, axis=None, dtype=float)
 
-    guess = np.concatenate(
-        [np.tile(np.asarray(f1(q, p), dtype=float), s),
-         np.tile(np.asarray(f2(q, p), dtype=float), s)]
+    guess = np.array(
+        np.asarray(f1(q, p), dtype=float).ravel().tolist() * s
+        + np.asarray(f2(q, p), dtype=float).ravel().tolist() * s
     )
     sol = newton_solve(residual, guess, settings)
-    k = sol[: s * n].reshape(s, n)
-    l = sol[s * n :].reshape(s, n)
-    return q + h * (b @ k), p + h * (bh @ l)
+    k = sol[:sn].reshape(s, n)
+    l = sol[sn:].reshape(s, n)
+    return q + h * (ptab.b @ k), p + h * (ptab.b_hat @ l)
+
+
+def _stage_point(x: list, h: float, row: list, v: list, starts: list) -> list:
+    """x + h sum_j row[j] k_j on floats, where k_j[m] is v[starts[j] + m].
+
+    Each sum starts at +0.0 and adds the products in stage order, as numpy's
+    gemv does for row @ k.  The two agree bit for bit when every product is
+    exact (coefficients such as 0, 1/2 and 1, slopes not subnormal) and there
+    are at most three stages; otherwise they may differ at roundoff.
+    """
+    out = []
+    for m, xm in enumerate(x):
+        acc = 0.0
+        for c, start in zip(row, starts):
+            acc += c * v[start + m]
+        out.append(xm + h * acc)
+    return out
 
 
 # --- coefficient checkers ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Harness tests: config parsing, runners, CSV schema and round trip, CLI."""
 
 import filecmp
+import json
 import math
 import os
 import struct
@@ -596,3 +597,23 @@ class TestCli:
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestConformance:
+    def test_csv_bytes_of_every_pair_unchanged(self):
+        # perfbench pins the CSV bytes of all 31 scenario-integrator pairs at seed 0
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "run.py"), "--conformance"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report["pairs"]) == 31
+        assert report["changed"] == []
+        assert report["missing_from_reference"] == []
+        # the two known defects, and no other
+        assert report["failing"] == ["kepler.implicit_euler", "pendulum_embedded.explicit_euler"]

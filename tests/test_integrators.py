@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geomint import so3
-from geomint.errors import GeomintError, NoConvergence
+from geomint import bench, so3
+from geomint.errors import GeomintError, NoConvergence, SingularJacobian, SingularOrigin
 from geomint.geometry import CAYLEY_TAG, EXP_TAG, cayley_retraction, exp_retraction
 from geomint.integrators import (
     HeavyTopState,
@@ -37,18 +37,29 @@ from geomint.integrators import (
     _solve_heavytop_omega,
 )
 from geomint.mechanics import (
+    HarmonicOscillatorParams,
     HeavyTopParams,
+    KeplerParams,
+    PendulumParams,
     QuadrotorParams,
     RigidBodyParams,
     heavytop_casimirs,
+    ho_vectorfield,
+    kepler_vectorfield,
+    pendulum_embedded_vf,
     rigidbody_energy,
 )
 from geomint.odecore import (
     DEFAULT_NEWTON,
+    FD_STEP,
     NewtonSettings,
+    implicit_euler_step,
     newton_solve,
+    prk_step,
+    stormer_verlet_tableau,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
+    symplectic_euler_tableau,
 )
 from geomint.so3 import (
     Rotation,
@@ -843,9 +854,11 @@ def _solve_heavytop_omega_reference(params, pi, gamma, dt, z, tag, settings):
 
 
 def _bits(value):
-    """Bit patterns of every float in a nested tuple; tells -0.0 from 0.0."""
+    """Bit patterns of every float in a nested tuple or array; tells -0.0 from 0.0."""
     if isinstance(value, tuple):
         return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.shape, value.dtype.str, value.tobytes())
     return struct.pack("<d", value)
 
 
@@ -855,7 +868,7 @@ def _outcome(fn, *args):
         out = fn(*args)
     except GeomintError as exc:
         return ("raised", type(exc), str(exc))
-    return ("ok", _bits(out), out)
+    return ("ok", _bits(out))
 
 
 _component = st.floats(-5.0, 5.0)
@@ -940,3 +953,362 @@ class TestKernelOracles:
         new = _outcome(_solve_heavytop_omega, *args)
         ref = _outcome(_solve_heavytop_omega_reference, *args)
         assert new == ref
+
+
+# --- bitwise oracles for the flat steps --------------------------------------------
+#
+# The references below are the numpy-composed forms of newton_solve and of the
+# flat step residuals, kept here verbatim.  The library forms compute on
+# Python floats; they must perform the same IEEE operations in the same order,
+# so every Newton iterate, and so the outcome, agrees bit for bit.
+
+def _newton_solve_reference(residual, x0, settings=DEFAULT_NEWTON):
+    x = np.array(x0, dtype=float)
+    n = x.size
+    h = FD_STEP
+    r = np.asarray(residual(x), dtype=float)
+    for _ in range(settings.max_iter):
+        if np.max(np.abs(r)) <= settings.tol:
+            return x
+        jac = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            jac[:, i] = (
+                np.asarray(residual(x + e), dtype=float)
+                - np.asarray(residual(x - e), dtype=float)
+            ) / (2.0 * h)
+        try:
+            step = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("non-finite Newton step")
+        x = x - step
+        r = np.asarray(residual(x), dtype=float)
+    if np.max(np.abs(r)) <= settings.tol:
+        return x
+    raise NoConvergence(settings.max_iter, float(np.max(np.abs(r))))
+
+
+def _implicit_euler_reference(f, x, h, settings):
+    x = np.asarray(x, dtype=float)
+
+    def residual(y):
+        return y - x - h * np.asarray(f(y), dtype=float)
+
+    return _newton_solve_reference(residual, x, settings)
+
+
+def _symplectic_euler_a_reference(f1, f2, q, v, h, settings):
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+
+    def residual(w):
+        return w - v - h * np.asarray(f2(q, w), dtype=float)
+
+    v_new = _newton_solve_reference(residual, v, settings)
+    q_new = q + h * np.asarray(f1(q, v_new), dtype=float)
+    return q_new, v_new
+
+
+def _symplectic_euler_b_reference(f1, f2, q, v, h, settings):
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+
+    def residual(w):
+        return w - q - h * np.asarray(f1(w, v), dtype=float)
+
+    q_new = _newton_solve_reference(residual, q, settings)
+    v_new = v + h * np.asarray(f2(q_new, v), dtype=float)
+    return q_new, v_new
+
+
+def _prk_reference(ptab, f1, f2, q, p, h, settings):
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    s = ptab.stages
+    n = q.size
+    a, b, ah, bh = ptab.a, ptab.b, ptab.a_hat, ptab.b_hat
+
+    def residual(flat):
+        k = flat[: s * n].reshape(s, n)
+        l = flat[s * n :].reshape(s, n)
+        out = np.empty(2 * s * n)
+        for i in range(s):
+            qi = q + h * (a[i] @ k)
+            pi = p + h * (ah[i] @ l)
+            out[i * n : (i + 1) * n] = k[i] - np.asarray(f1(qi, pi), dtype=float)
+            out[(s + i) * n : (s + i + 1) * n] = l[i] - np.asarray(
+                f2(qi, pi), dtype=float
+            )
+        return out
+
+    guess = np.concatenate(
+        [np.tile(np.asarray(f1(q, p), dtype=float), s),
+         np.tile(np.asarray(f2(q, p), dtype=float), s)]
+    )
+    sol = _newton_solve_reference(residual, guess, settings)
+    k = sol[: s * n].reshape(s, n)
+    l = sol[s * n :].reshape(s, n)
+    return q + h * (b @ k), p + h * (bh @ l)
+
+
+def _implicit_disc_reference(f, x, h, theta, settings):
+    x = np.asarray(x, dtype=float)
+    if theta == 0.0:
+        return x + h * np.asarray(f(x), dtype=float)
+
+    def residual(y):
+        mid = (1.0 - theta) * x + theta * y
+        return y - x - h * np.asarray(f(mid), dtype=float)
+
+    return _newton_solve_reference(residual, x, settings)
+
+
+def _cotangent_theta_reference(f1, f2, q, p, h, theta, settings):
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if theta == 0.0:
+        return _symplectic_euler_a_reference(f1, f2, q, p, h, settings)
+    if theta == 1.0:
+        return _symplectic_euler_b_reference(f1, f2, q, p, h, settings)
+
+    n = q.size
+
+    def residual(flat):
+        qn, pn = flat[:n], flat[n:]
+        qm = (1.0 - theta) * q + theta * qn
+        pm = theta * p + (1.0 - theta) * pn
+        return np.concatenate(
+            [
+                qn - q - h * np.asarray(f1(qm, pm), dtype=float),
+                pn - p - h * np.asarray(f2(qm, pm), dtype=float),
+            ]
+        )
+
+    sol = _newton_solve_reference(residual, np.concatenate([q, p]), settings)
+    return sol[:n], sol[n:]
+
+
+def _kepler_split_reference(mu):
+    """The Kepler split field in its numpy-composed form.
+
+    Like the library's Kepler fields it raises where |r|^3 underflows to zero,
+    rather than returning an infinite force.
+    """
+
+    def f1(q, v):
+        return np.asarray(v, dtype=float)
+
+    def f2(q, v):
+        q = np.asarray(q, dtype=float)
+        r2 = q @ q
+        r3 = r2 * math.sqrt(r2)
+        if r3 == 0.0:
+            raise SingularOrigin("Kepler state at r = 0")
+        return -mu / r3 * q
+
+    return f1, f2
+
+
+def _ho_split(ratio):
+    return _f1, lambda q, v: -ratio * np.asarray(q, dtype=float)
+
+
+def _pendulum_split(q, v):
+    return -np.sin(np.asarray(q, dtype=float))
+
+
+def _abs_force(q, v):
+    """Force of the potential |q|; it tells -0.0 from 0.0 in every stage point."""
+    return -np.copysign(1.0, np.asarray(q, dtype=float))
+
+
+def _abs_field(x):
+    return np.array([x[1], -math.copysign(1.0, x[0])])
+
+
+# Zeros of both signs, and no subnormals: numpy's gemv fuses each multiply-add,
+# so a subnormal slope times 1/2 may round differently from the float sum (see
+# odecore._stage_point); a run's slopes would have to fall below 2.2e-308.
+_coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_subnormal=False))
+_h = st.one_of(st.sampled_from([0.0, -0.0, 0.01]), st.floats(-0.5, 0.5, allow_subnormal=False))
+_theta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
+_positive = st.floats(0.1, 10.0)
+_split_fields = st.one_of(
+    st.builds(_ho_split, _positive),
+    st.builds(_kepler_split_reference, _positive),
+    st.just((_f1, _pendulum_split)),
+    st.just((_f1, _abs_force)),
+)
+
+
+@st.composite
+def _split_states(draw):
+    """(q, p) pairs of one or two dimensions."""
+    n = draw(st.sampled_from([1, 2]))
+    q = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+    return q, p
+
+
+# (field, state dimension) pairs of the library's flat fields, and |q|
+_full_fields = st.one_of(
+    st.tuples(st.builds(lambda k: ho_vectorfield(HarmonicOscillatorParams(k=k)), _positive), st.just(2)),
+    st.tuples(st.builds(lambda mu: kepler_vectorfield(KeplerParams(mu=mu)), _positive), st.just(4)),
+    st.tuples(st.just(pendulum_embedded_vf(PendulumParams(ml2=2.0, mgl=0.5))), st.just(3)),
+    st.tuples(st.just(_abs_field), st.just(2)),
+)
+
+
+@st.composite
+def _full_states(draw):
+    f, n = draw(_full_fields)
+    return f, np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
+
+
+# draws near the origin or with large steps overflow on the way to a failed solve
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFlatOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_coord, min_size=1, max_size=4),
+        st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        _settings,
+    )
+    @example([3.0], [0.0, 0.0, 0.0, 0.0], DEFAULT_NEWTON)
+    # overflow to a non-finite Newton step
+    @example([1e155, 1.0], [1.0, 0.0, 0.0, 0.0], DEFAULT_NEWTON)
+    def test_newton_solve_bitwise(self, x0, c, newton):
+        # coupled, nonlinear, with a root only for some draws; the copysign
+        # term tells -0.0 from 0.0 in the neighbouring unknown
+        def residual(x):
+            n = x.size
+            return (
+                x * x * c[0] + np.roll(x, 1) * c[1] - np.sin(x) * c[2] - c[3] + 0.5 * n
+                + 1e-3 * np.copysign(1.0, np.roll(x, 1))
+            )
+
+        new = _outcome(newton_solve, residual, np.array(x0), newton)
+        ref = _outcome(_newton_solve_reference, residual, np.array(x0), newton)
+        assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(_split_fields, _split_states(), _h, _settings)
+    # the Kepler force at the stock state, with signed zeros in q and p
+    @example(_kepler_split_reference(1.0), (np.array([1.0, -0.0]), np.array([-0.0, 0.5])), 0.01, DEFAULT_NEWTON)
+    def test_prk_bitwise(self, fields, state, h, newton):
+        f1, f2 = fields
+        q, p = state
+        for tab in (stormer_verlet_tableau(), symplectic_euler_tableau()):
+            new = _outcome(prk_step, tab, f1, f2, q, p, h, newton)
+            ref = _outcome(_prk_reference, tab, f1, f2, q, p, h, newton)
+            assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(_split_fields, _split_states(), _h, _settings)
+    def test_symplectic_euler_bitwise(self, fields, state, h, newton):
+        f1, f2 = fields
+        q, p = state
+        for step, reference in (
+            (symplectic_euler_a_step, _symplectic_euler_a_reference),
+            (symplectic_euler_b_step, _symplectic_euler_b_reference),
+        ):
+            new = _outcome(step, f1, f2, q, p, h, newton)
+            ref = _outcome(reference, f1, f2, q, p, h, newton)
+            assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(_split_fields, _split_states(), _h, _theta, _settings)
+    def test_cotangent_theta_bitwise(self, fields, state, h, theta, newton):
+        f1, f2 = fields
+        q, p = state
+        new = _outcome(cotangent_theta_step, f1, f2, q, p, h, theta, newton)
+        ref = _outcome(_cotangent_theta_reference, f1, f2, q, p, h, theta, newton)
+        assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(_full_states(), _h, _theta, _settings)
+    def test_implicit_steps_bitwise(self, field_state, h, theta, newton):
+        f, x = field_state
+        new = _outcome(implicit_euler_step, f, x, h, newton)
+        ref = _outcome(_implicit_euler_reference, f, x, h, newton)
+        assert new == ref
+        new = _outcome(implicit_disc_step, f, x, h, theta, newton)
+        ref = _outcome(_implicit_disc_reference, f, x, h, theta, newton)
+        assert new == ref
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    def test_scalar_fields_on_one_dimensional_states(self, theta):
+        # a field may return a scalar for a one-dimensional state, as numpy broadcasts it
+        def f1(q, p):
+            return p[0]
+
+        def f2(q, p):
+            return -2.0 * q[0]
+
+        def f(x):
+            return -2.0 * x[0]
+
+        q, p, h = np.array([0.7]), np.array([-0.2]), 0.1
+        for step, reference, args in (
+            (prk_step, _prk_reference, (stormer_verlet_tableau(), f1, f2, q, p, h)),
+            (symplectic_euler_a_step, _symplectic_euler_a_reference, (f1, f2, q, p, h)),
+            (symplectic_euler_b_step, _symplectic_euler_b_reference, (f1, f2, q, p, h)),
+            (cotangent_theta_step, _cotangent_theta_reference, (f1, f2, q, p, h, theta)),
+            (implicit_euler_step, _implicit_euler_reference, (f, q, h)),
+            (implicit_disc_step, _implicit_disc_reference, (f, q, h, theta)),
+        ):
+            new = _outcome(step, *args, DEFAULT_NEWTON)
+            assert new[0] == "ok"
+            assert new == _outcome(reference, *args, DEFAULT_NEWTON)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["stormer_verlet", "theta_family", "sympl_euler_a", "sympl_euler_b"]),
+        st.tuples(_coord, _coord, _coord, _coord),
+        _positive,
+        st.floats(1e-3, 0.1),
+        _theta,
+    )
+    def test_kepler_runs_bitwise(self, integrator, x0, mu, dt, theta):
+        # bench's own split fields and stepper glue against the references
+        config = bench.default_config(
+            "kepler", integrator, dt=dt, steps=5, theta=theta, params={"mu": mu, "x0": x0}
+        )
+        f1, f2 = _kepler_split_reference(mu)
+        step = {
+            "stormer_verlet": lambda q, p: _prk_reference(
+                stormer_verlet_tableau(), f1, f2, q, p, dt, DEFAULT_NEWTON
+            ),
+            "theta_family": lambda q, p: _cotangent_theta_reference(
+                f1, f2, q, p, dt, theta, DEFAULT_NEWTON
+            ),
+            "sympl_euler_a": lambda q, p: _symplectic_euler_a_reference(
+                f1, f2, q, p, dt, DEFAULT_NEWTON
+            ),
+            "sympl_euler_b": lambda q, p: _symplectic_euler_b_reference(
+                f1, f2, q, p, dt, DEFAULT_NEWTON
+            ),
+        }[integrator]
+
+        def reference_run():
+            x = np.asarray(x0, dtype=float)
+            rows = []
+            for _ in range(config.steps):
+                q, p = step(x[:2], x[2:])
+                x = np.concatenate([q, p])
+                rows.append(x)
+            return tuple(rows)
+
+        def run():
+            return tuple(np.array(rec.values[:4]) for rec in bench.run_scenario(config))
+
+        ref = _outcome(reference_run)
+        new = _outcome(run)
+        if ref[0] == "raised":
+            # bench reports the step the integrator failed at, with the same cause
+            assert new[0] == "raised" and str(ref[2]) in new[2]
+        else:
+            assert new == ref

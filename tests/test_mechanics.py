@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geomint import mechanics as mech
 from geomint.errors import DegenerateProjection, SingularOrigin
@@ -95,6 +97,9 @@ class TestKepler:
         f = kepler_vectorfield(KeplerParams())
         with pytest.raises(SingularOrigin):
             f(np.array([0.0, 0.0, 1.0, 1.0]))
+        # |r|^3 underflows to zero: a singular origin too, not an infinite force
+        with pytest.raises(SingularOrigin):
+            f(np.array([1e-110, -1e-110, 1.0, 1.0]))
         with pytest.raises(SingularOrigin):
             kepler_energy(KeplerParams())(np.array([0.0, 0.0, 1.0, 1.0]))
 
@@ -285,3 +290,84 @@ class TestEnergyAlongFields:
         s = np.array([math.cos(0.8), math.sin(0.8), 0.4])
         grad = _fd_gradient(e, s)
         assert abs(grad @ f(s)) < 1e-6
+
+
+# --- bitwise oracles for the flat fields ------------------------------------------
+#
+# The numpy-indexed forms below are the references; the library fields read
+# the state into Python floats and must return the same bits.
+
+def _ho_reference(params):
+    ratio = params.k / params.m
+    return lambda x: np.array([x[1], -ratio * x[0]])
+
+
+def _kepler_reference(params):
+    mu = params.mu
+
+    def f(x):
+        r2 = x[0] * x[0] + x[1] * x[1]
+        if r2 == 0.0:
+            raise SingularOrigin("Kepler state at r = 0")
+        coeff = -mu / (r2 * math.sqrt(r2))
+        return np.array([x[2], x[3], coeff * x[0], coeff * x[1]])
+
+    return f
+
+
+def _pendulum_reference(params):
+    return lambda x: np.array([x[1] / params.ml2, -params.mgl * math.sin(x[0])])
+
+
+def _pendulum_embedded_reference(params):
+    return lambda s: np.array(
+        [-s[1] * s[2] / params.ml2, s[0] * s[2] / params.ml2, -params.mgl * s[1]]
+    )
+
+
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_positive = st.floats(1e-3, 1e3)
+
+
+def _same_bits(new, ref):
+    return new.shape == ref.shape and new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+
+
+# the references overflow on the large draws, as the fields do
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFlatFieldOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coord, min_size=2, max_size=2), _positive, _positive)
+    def test_ho_and_pendulum_bitwise(self, xs, a, b):
+        x = np.array(xs)
+        ho = HarmonicOscillatorParams(k=a, m=b)
+        assert _same_bits(ho_vectorfield(ho)(x), _ho_reference(ho)(x))
+        pp = PendulumParams(ml2=a, mgl=b)
+        assert _same_bits(pendulum_vf(pp)(x), _pendulum_reference(pp)(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coord, min_size=3, max_size=3), _positive, _positive)
+    def test_pendulum_embedded_bitwise(self, xs, a, b):
+        x = np.array(xs)
+        pp = PendulumParams(ml2=a, mgl=b)
+        assert _same_bits(pendulum_embedded_vf(pp)(x), _pendulum_embedded_reference(pp)(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_coord, min_size=4, max_size=4), _positive)
+    def test_kepler_bitwise(self, xs, mu):
+        x = np.array(xs)
+        r2 = xs[0] * xs[0] + xs[1] * xs[1]
+        # where |r|^3 underflows the reference returns an infinite force and
+        # the library raises SingularOrigin (test_singular_origin)
+        assume(r2 == 0.0 or r2 * math.sqrt(r2) != 0.0)
+        kp = KeplerParams(mu=mu)
+        if r2 == 0.0:
+            for f in (kepler_vectorfield(kp), _kepler_reference(kp)):
+                with pytest.raises(SingularOrigin):
+                    f(x)
+            return
+        assert _same_bits(kepler_vectorfield(kp)(x), _kepler_reference(kp)(x))

@@ -88,10 +88,18 @@ class TestNewton:
             )
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            NewtonSettings(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonSettings(max_iter=0)
+        for kwargs in (
+            {"tol": 0.0},
+            {"tol": -1e-12},
+            # nan fails every solve; inf returns the initial guess unsolved
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iter": 0},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+        ):
+            with pytest.raises(ValueError):
+                NewtonSettings(**kwargs)
 
 
 class TestEulerSteps:
@@ -160,6 +168,16 @@ class TestSymplecticEuler:
 
 
 class TestRungeKutta:
+    def test_explicit_flag(self):
+        for tab in (ode.explicit_euler_tableau(), ode.rk2_midpoint_tableau(), ode.rk4_tableau()):
+            assert tab.is_explicit()
+        midpoint = ButcherTableau(a=[[0.5]], b=[1.0])
+        for tab in (ode.implicit_euler_tableau(), midpoint):
+            assert not tab.is_explicit()
+        # the flag is computed once, so the stage matrix cannot change under it
+        with pytest.raises(ValueError):
+            midpoint.a[0, 0] = 0.0
+
     def test_s1_explicit_matches_euler_bitwise(self):
         tab = ode.explicit_euler_tableau()
         x = np.array([0.37, -1.2])
