@@ -91,7 +91,6 @@ from .mechanics import (
 )
 from .odecore import (
     ButcherTableau,
-    NewtonSettings,
     PartitionedTableau,
     check_order_conditions,
     check_symplectic_prk,

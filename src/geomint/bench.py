@@ -222,6 +222,9 @@ def _check_param(key: str, default, value) -> None:
             raise ValueError(f"{key} must be numeric, got {value!r}")
         if not math.isfinite(item):
             raise ValueError(f"{key} must be finite, got {value!r}")
+    # a switch, so any other number would read as on
+    if key == "project" and value not in (0.0, 1.0):
+        raise ValueError(f"project must be 0 or 1, got {value!r}")
 
 
 def default_config(scenario: str, integrator: str, **overrides) -> ScenarioConfig:
@@ -277,7 +280,11 @@ def parse_config(
                 key = key.strip()
                 if not key:
                     raise ParseError(line_no, line.rstrip("\n"))
-                raw[key] = _parse_value(value)
+                try:
+                    raw[key] = _parse_value(value)
+                except ValueError:
+                    # a number list with an empty or non-numeric entry
+                    raise ParseError(line_no, line.rstrip("\n")) from None
     if overrides:
         raw.update(overrides)
 

@@ -24,20 +24,23 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise GeomintError(f"--param expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = bench._parse_value(value)
+        key = key.strip()
+        try:
+            out[key] = bench._parse_value(value)
+        except ValueError:
+            raise GeomintError(
+                f"--param {key} expects numbers separated by commas, got {value!r}"
+            ) from None
     return out
 
 
 def _cmd_run(args) -> int:
     overrides = _parse_param_overrides(args.param)
-    overrides["scenario"] = args.scenario
-    overrides["integrator"] = args.integrator
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.theta is not None:
-        overrides["theta"] = args.theta
+    # a flag that is given wins over the config file; any of them may come from it
+    for key in ("scenario", "integrator", "dt", "steps", "theta"):
+        value = getattr(args, key)
+        if value is not None:
+            overrides[key] = value
     config = bench.parse_config(args.config, overrides)
     records = bench.run_scenario(config)
     bench.write_csv(records, args.out)
@@ -89,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario and write a CSV")
-    run_p.add_argument("--scenario", required=True, choices=bench.SCENARIOS)
-    run_p.add_argument("--integrator", required=True, choices=bench.INTEGRATORS)
+    run_p.add_argument("--scenario", default=None, choices=bench.SCENARIOS)
+    run_p.add_argument("--integrator", default=None, choices=bench.INTEGRATORS)
     run_p.add_argument("--dt", type=float, default=None)
     run_p.add_argument("--steps", type=int, default=None)
     run_p.add_argument("--theta", type=float, default=None)

@@ -71,8 +71,8 @@ from .errors import NoConvergence, OutOfChart
 from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
-    DEFAULT_NEWTON,
-    NewtonSettings,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     SplitField,
     VectorField,
     newton_solve,
@@ -186,7 +186,6 @@ def implicit_disc_step(
     x: np.ndarray,
     h: float,
     theta: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """One step of x' = x + h f((1-theta) x + theta x')."""
     import numpy as np
@@ -205,7 +204,7 @@ def implicit_disc_step(
         fm = np.asarray(f(mid), dtype=float).ravel().tolist()
         return np.array([a - b - h * c for a, b, c in zip(ys, xs, fm)])
 
-    return newton_solve(residual, x, settings)
+    return newton_solve(residual, x)
 
 
 def cotangent_theta_step(
@@ -215,7 +214,6 @@ def cotangent_theta_step(
     p: np.ndarray,
     h: float,
     theta: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic theta-family step on (q, p); endpoints are symplectic Euler A/B."""
     import numpy as np
@@ -223,9 +221,9 @@ def cotangent_theta_step(
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if theta == 0.0:
-        return symplectic_euler_a_step(f1, f2, q, p, h, settings)
+        return symplectic_euler_a_step(f1, f2, q, p, h)
     if theta == 1.0:
-        return symplectic_euler_b_step(f1, f2, q, p, h, settings)
+        return symplectic_euler_b_step(f1, f2, q, p, h)
 
     n = q.size
     qp = q.tolist() + p.tolist()
@@ -243,7 +241,7 @@ def cotangent_theta_step(
         )
         return np.array([a - b - h * c for a, b, c in zip(v, qp, g)])
 
-    sol = newton_solve(residual, np.array(qp), settings)
+    sol = newton_solve(residual, np.array(qp))
     return sol[:n], sol[n:]
 
 
@@ -258,9 +256,7 @@ def _check_exp_chart(theta: float) -> None:
         )
 
 
-def _solve_body_omega(
-    params, pi: Vec3, dt: float, tag: str, settings: NewtonSettings
-) -> Vec3:
+def _solve_body_omega(params, pi: Vec3, dt: float, tag: str) -> Vec3:
     """Body velocity Omega from dlog(dt Omega) . Pi = I Omega.
 
     Newton iteration with the analytic Jacobian; initial guess I^-1 Pi.  The
@@ -274,7 +270,6 @@ def _solve_body_omega(
     o0 = v00 * p0 + v01 * p1 + v02 * p2
     o1 = v10 * p0 + v11 * p1 + v12 * p2
     o2 = v20 * p0 + v21 * p1 + v22 * p2
-    tol = settings.tol
     exp_tag = tag == EXP_TAG
     # e_j x Pi, fixed over the iteration
     ep00 = 0.0 * p2 - 0.0 * p1
@@ -287,7 +282,7 @@ def _solve_body_omega(
     ep21 = 1.0 * p0 - 0.0 * p2
     ep22 = 0.0 * p1 - 0.0 * p0
 
-    for _ in range(settings.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         y0 = dt * o0
         y1 = dt * o1
         y2 = dt * o2
@@ -317,7 +312,7 @@ def _solve_body_omega(
         r0 = l0 - (i00 * o0 + i01 * o1 + i02 * o2)
         r1 = l1 - (i10 * o0 + i11 * o1 + i12 * o2)
         r2 = l2 - (i20 * o0 + i21 * o1 + i22 * o2)
-        if max(abs(r0), abs(r1), abs(r2)) <= tol:
+        if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
             if exp_tag:
                 _check_exp_chart(theta)
             return (o0, o1, o2)
@@ -376,7 +371,7 @@ def _solve_body_omega(
         o1 = o1 - step[1]
         o2 = o2 - step[2]
 
-    raise NoConvergence(settings.max_iter, max(abs(r0), abs(r1), abs(r2)))
+    raise NoConvergence(NEWTON_MAX_ITER, max(abs(r0), abs(r1), abs(r2)))
 
 
 def _tau_matrix(tag: str, y: Vec3):
@@ -386,11 +381,9 @@ def _tau_matrix(tag: str, y: Vec3):
     return so3._cay_matrix(vec_scale(y, 0.5))
 
 
-def _lp_left_core(
-    params, r_mat, pi: Vec3, dt: float, tag: str, settings: NewtonSettings
-):
+def _lp_left_core(params, r_mat, pi: Vec3, dt: float, tag: str):
     """Shared rotational step; returns (R'_mat, Pi', Omega)."""
-    omega = _solve_body_omega(params, pi, dt, tag, settings)
+    omega = _solve_body_omega(params, pi, dt, tag)
     y = vec_scale(omega, dt)
     w = _tau_matrix(tag, y)
     r_new = so3.mat_mul(r_mat, w)
@@ -406,7 +399,6 @@ def lie_poisson_left_step(
     R: Rotation,
     Pi: Vec3,
     dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[Rotation, Vec3]:
     """Left-lifted Lie-Poisson step for the free rigid body.
 
@@ -414,7 +406,7 @@ def lie_poisson_left_step(
     Pi' = tau(dt Omega)^T Pi.  |Pi'| = |Pi| holds to machine precision.
     """
     pi = so3.as_vec3(Pi)
-    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, ret.tag, settings)
+    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, ret.tag)
     return Rotation(r_new), pi_new
 
 
@@ -424,7 +416,6 @@ def lie_poisson_right_step(
     R: Rotation,
     Pi: Vec3,
     dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[Rotation, Vec3]:
     """Right-lifted variant: Pi is the spatial momentum, returned unchanged.
 
@@ -433,11 +424,15 @@ def lie_poisson_right_step(
     """
     pi_spatial = so3.as_vec3(Pi)
     pi_body = mat_T_vec(R.m, pi_spatial)
-    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret.tag, settings)
+    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret.tag)
     return Rotation(r_new), pi_spatial
 
 
 # --- heavy top ---------------------------------------------------------------------------
+
+# fixed-point iterations of the heavy-top solve before its Newton fallback
+HEAVYTOP_FP_BUDGET = 25
+
 
 def _heavytop_eval(
     inertia,
@@ -580,7 +575,6 @@ def _solve_heavytop_omega(
     dt: float,
     z: Vec3,
     tag: str,
-    settings: NewtonSettings,
 ) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Fixed-point iteration with a finite-difference Newton fallback.
 
@@ -589,12 +583,10 @@ def _solve_heavytop_omega(
     inertia = params.inertia
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
     omega = mat_vec(params.inertia_inv, pi)
-    tol = settings.tol
-    fp_budget = max(12, settings.max_iter // 2)
-    for _ in range(fp_budget):
+    for _ in range(HEAVYTOP_FP_BUDGET):
         res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
         r0, r1, r2 = res
-        if max(abs(r0), abs(r1), abs(r2)) <= tol:
+        if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
             return omega, d, pi_new, gamma_new
         # Omega + I^-1 res
         omega = (
@@ -612,7 +604,7 @@ def _solve_heavytop_omega(
         )
         return np.array(r)
 
-    sol = newton_solve(residual, np.array(omega), settings)
+    sol = newton_solve(residual, np.array(omega))
     omega = (sol[0], sol[1], sol[2])
     _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
     return omega, d, pi_new, gamma_new
@@ -623,13 +615,10 @@ def _heavytop_step(
     state: HeavyTopState,
     dt: float,
     tag: str,
-    settings: NewtonSettings,
 ) -> HeavyTopState:
     pi, gamma = state.Pi, state.Gamma
     z = vec_scale(params.chi, dt * params.m * params.g)
-    omega, d, pi_new, gamma_new = _solve_heavytop_omega(
-        params, pi, gamma, dt, z, tag, settings
-    )
+    omega, d, pi_new, gamma_new = _solve_heavytop_omega(params, pi, gamma, dt, z, tag)
     y = vec_scale(omega, dt)
     if tag == EXP_TAG:
         _check_exp_chart(norm(y))
@@ -642,7 +631,6 @@ def heavytop_exp_step(
     params: HeavyTopParams,
     state: HeavyTopState,
     dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> HeavyTopState:
     """Exponential-map heavy-top step on the semidirect product.
 
@@ -650,17 +638,16 @@ def heavytop_exp_step(
     Gamma-orthogonal momentum shift); with chi = 0 it reduces to the free
     rigid-body exponential step plus x' = x.
     """
-    return _heavytop_step(params, state, dt, EXP_TAG, settings)
+    return _heavytop_step(params, state, dt, EXP_TAG)
 
 
 def heavytop_cay_step(
     params: HeavyTopParams,
     state: HeavyTopState,
     dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> HeavyTopState:
     """Cayley-map heavy-top step; both Casimirs are conserved exactly."""
-    return _heavytop_step(params, state, dt, CAYLEY_TAG, settings)
+    return _heavytop_step(params, state, dt, CAYLEY_TAG)
 
 
 # --- quadrotor ----------------------------------------------------------------------------
@@ -670,7 +657,6 @@ def quadrotor_step(
     state: QuadrotorState,
     u: QuadrotorInput,
     dt: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
     tag: str = EXP_TAG,
 ) -> QuadrotorState:
     """Forced rigid-body rotation plus symplectic-Euler translation.
@@ -679,7 +665,7 @@ def quadrotor_step(
     for M = 0) followed by the moment impulse Pi' += dt M.  The translation
     uses p' = p + dt (-m g e3 + F R e3) and q' = q + dt p'/m.
     """
-    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, tag, settings)
+    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, tag)
     if u.M != (0.0, 0.0, 0.0):
         pi_new = vec_add(pi_new, vec_scale(u.M, dt))
 

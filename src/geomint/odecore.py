@@ -33,26 +33,12 @@ VectorField = Callable[["np.ndarray"], "np.ndarray"]
 SplitField = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 
+# the stopping rule of every implicit relation in the library: residual
+# inf-norm at most NEWTON_TOL within NEWTON_MAX_ITER iterations
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 # step of the central-difference Jacobian in newton_solve
 FD_STEP = 1e-7
-
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    """Newton iteration controls: residual inf-norm target and iteration cap."""
-
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        # a nan tol fails every solve and an infinite one returns the guess unsolved
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if type(self.max_iter) is not int or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an int of at least 1, got {self.max_iter!r}")
-
-
-DEFAULT_NEWTON = NewtonSettings()
 
 
 @dataclass(frozen=True)
@@ -164,12 +150,11 @@ def stormer_verlet_tableau() -> PartitionedTableau:
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """Root of residual(x) = 0 by Newton with a central-difference Jacobian.
 
-    Raises NoConvergence when the inf-norm stays above settings.tol after
-    settings.max_iter iterations, SingularJacobian when the finite-difference
+    Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
+    NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
     Jacobian cannot be inverted.
     """
     import numpy as np
@@ -177,13 +162,13 @@ def newton_solve(
     x = np.array(x0, dtype=float)
     n = x.size
     h = FD_STEP
-    tol = settings.tol
+    tol = NEWTON_TOL
     # rows x + h e_i, then x - h e_i; the -0.0 off the diagonal of -hI keeps
     # each point bitwise equal to x - h e_i, signed zeros included
     shift = h * np.eye(n)
     shifts = np.concatenate([shift, -shift])
     r = np.asarray(residual(x), dtype=float)
-    for _ in range(settings.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         # false for a nan entry, as the inf-norm test would be
         if all(abs(v) <= tol for v in r.tolist()):
             return x
@@ -199,7 +184,7 @@ def newton_solve(
         r = np.asarray(residual(x), dtype=float)
     if all(abs(v) <= tol for v in r.tolist()):
         return x
-    raise NoConvergence(settings.max_iter, float(np.max(np.abs(r))))
+    raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(r))))
 
 
 # --- Euler family ---------------------------------------------------------------
@@ -216,7 +201,6 @@ def implicit_euler_step(
     f: VectorField,
     x: np.ndarray,
     h: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """Solve x' = x + h f(x') by Newton from the initial guess x."""
     import numpy as np
@@ -229,7 +213,7 @@ def implicit_euler_step(
         fy = np.asarray(f(y), dtype=float).ravel().tolist()
         return np.array([a - b - h * c for a, b, c in zip(y.tolist(), xs, fy)])
 
-    return newton_solve(residual, x, settings)
+    return newton_solve(residual, x)
 
 
 def symplectic_euler_a_step(
@@ -238,7 +222,6 @@ def symplectic_euler_a_step(
     q: np.ndarray,
     v: np.ndarray,
     h: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """q' = q + h f1(q, v'), v' = v + h f2(q, v').
 
@@ -255,7 +238,7 @@ def symplectic_euler_a_step(
         g = np.asarray(f2(q, w), dtype=float).ravel().tolist()
         return np.array([a - b - h * c for a, b, c in zip(w.tolist(), vs, g)])
 
-    v_new = newton_solve(residual, v, settings)
+    v_new = newton_solve(residual, v)
     q_new = q + h * np.asarray(f1(q, v_new), dtype=float)
     return q_new, v_new
 
@@ -266,7 +249,6 @@ def symplectic_euler_b_step(
     q: np.ndarray,
     v: np.ndarray,
     h: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """q' = q + h f1(q', v), v' = v + h f2(q', v); mirror image of variant A."""
     import numpy as np
@@ -279,7 +261,7 @@ def symplectic_euler_b_step(
         g = np.asarray(f1(w, v), dtype=float).ravel().tolist()
         return np.array([a - b - h * c for a, b, c in zip(w.tolist(), qs, g)])
 
-    q_new = newton_solve(residual, q, settings)
+    q_new = newton_solve(residual, q)
     v_new = v + h * np.asarray(f2(q_new, v), dtype=float)
     return q_new, v_new
 
@@ -291,7 +273,6 @@ def rk_step(
     f: VectorField,
     x: np.ndarray,
     h: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> np.ndarray:
     """One s-stage Runge-Kutta step x' = x + h sum b_i k_i.
 
@@ -320,7 +301,7 @@ def rk_step(
         return out.ravel()
 
     guess = np.tile(np.asarray(f(x), dtype=float), s)
-    k = newton_solve(residual, guess, settings).reshape(s, n)
+    k = newton_solve(residual, guess).reshape(s, n)
     return x + h * (b @ k)
 
 
@@ -331,7 +312,6 @@ def prk_step(
     q: np.ndarray,
     p: np.ndarray,
     h: float,
-    settings: NewtonSettings = DEFAULT_NEWTON,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partitioned Runge-Kutta step with tableaux (a, b) for q, (a_hat, b_hat) for p.
 
@@ -348,25 +328,34 @@ def prk_step(
     sn = s * n
     qs, ps = q.tolist(), p.tolist()
     rows, rows_hat = ptab.a.tolist(), ptab.a_hat.tolist()
+    # one stage point per distinct row: rows may repeat, as Stormer-Verlet's two
+    # a_hat rows do.  Rows equal up to the sign of a zero give the same point,
+    # since a stage sum starts at +0.0 and so never becomes -0.0.
+    q_rows = list(dict.fromkeys(map(tuple, rows)))
+    p_rows = list(dict.fromkeys(map(tuple, rows_hat)))
+    stages = [
+        (q_rows.index(tuple(row)), p_rows.index(tuple(row_hat)))
+        for row, row_hat in zip(rows, rows_hat)
+    ]
     # where slope j of k, and of l, starts in the flat unknown (k_1..k_s, l_1..l_s)
     k_starts = [j * n for j in range(s)]
     l_starts = [sn + j * n for j in range(s)]
 
     def residual(flat: np.ndarray) -> np.ndarray:
         v = flat.tolist()
+        qpts = [np.array(_stage_point(qs, h, row, v, k_starts)) for row in q_rows]
+        ppts = [np.array(_stage_point(ps, h, row, v, l_starts)) for row in p_rows]
         fk, fl = [], []
-        for row, row_hat in zip(rows, rows_hat):
-            qi = np.array(_stage_point(qs, h, row, v, k_starts))
-            pi = np.array(_stage_point(ps, h, row_hat, v, l_starts))
-            fk.append(f1(qi, pi))
-            fl.append(f2(qi, pi))
+        for i, j in stages:
+            fk.append(f1(qpts[i], ppts[j]))
+            fl.append(f2(qpts[i], ppts[j]))
         return flat - np.concatenate(fk + fl, axis=None, dtype=float)
 
     guess = np.array(
         np.asarray(f1(q, p), dtype=float).ravel().tolist() * s
         + np.asarray(f2(q, p), dtype=float).ravel().tolist() * s
     )
-    sol = newton_solve(residual, guess, settings)
+    sol = newton_solve(residual, guess)
     k = sol[:sn].reshape(s, n)
     l = sol[sn:].reshape(s, n)
     return q + h * (ptab.b @ k), p + h * (ptab.b_hat @ l)

@@ -115,6 +115,10 @@ class TestConfig:
             default_config("harmonic", "rk4", dt="0.1")
         with pytest.raises(ValueError, match=r"theta must be a number, got \(0\.1"):
             default_config("harmonic", "theta_family", theta=(0.1, 0.2))
+        # project is a switch: 0 or 1, which a file's false/true parse to
+        for value in (0.3, -7.0, 2.0):
+            with pytest.raises(ValueError, match="project must be 0 or 1"):
+                default_config("pendulum_embedded", "rk2", params={"project": value})
         # the same inputs through the CLI, plus the model checks made when the
         # run is set up, exit 1 without writing a CSV
         out = tmp_path / "x.csv"
@@ -129,6 +133,19 @@ class TestConfig:
             code = cli.main(["run", *args, "--steps", "5", "--out", str(out)])
             assert code == 1, args
             assert "error" in capsys.readouterr().err
+            assert not out.exists()
+        # the message names the key at fault
+        for args, needle in (
+            (["--scenario", "pendulum_embedded", "--integrator", "rk2",
+              "--param", "project=0.3"], "project must be 0 or 1, got 0.3"),
+            (["--scenario", "pendulum_embedded", "--integrator", "rk2",
+              "--param", "project=-7"], "project must be 0 or 1, got -7.0"),
+            (["--scenario", "kepler", "--integrator", "rk4",
+              "--param", "x0=1,,0,0.5"], "--param x0 expects numbers"),
+        ):
+            code = cli.main(["run", *args, "--steps", "5", "--out", str(out)])
+            assert code == 1, args
+            assert needle in capsys.readouterr().err
             assert not out.exists()
         # steps must be a whole number; a config file parses it as a float
         with pytest.raises(ValueError, match="steps must be an integer, got 2.7"):
@@ -157,6 +174,12 @@ class TestConfig:
             assert code == 1, key
             assert f"{key} must be a number, got (0.1, 0.2)" in capsys.readouterr().err
             assert not out.exists()
+        for word, value in (("true", 1.0), ("false", 0.0)):
+            cfg.write_text(f"project = {word}\n", encoding="utf-8")
+            parsed = parse_config(
+                str(cfg), {"scenario": "pendulum_embedded", "integrator": "rk2"}
+            )
+            assert parsed.params["project"] == value
 
 
 class TestParseConfig:
@@ -193,6 +216,14 @@ class TestParseConfig:
         with pytest.raises(ParseError) as err:
             parse_config(str(path))
         assert err.value.line_no == 2
+        # a number list with an empty entry
+        path.write_text(
+            "scenario = kepler\nintegrator = rk4\nx0 = 1,,0,0.5\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_config(str(path))
+        assert err.value.line_no == 3
+        assert "x0 = 1,,0,0.5" in str(err.value)
 
     def test_incompatible_pair_from_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -559,6 +590,33 @@ class TestCli:
         assert code == 0
         rows = read_csv(str(out))
         assert all(r.value("cylinder_defect") <= 1e-15 for r in rows)
+
+    def test_config_file_names_the_pair(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "scenario = heavytop\nintegrator = lp_cayley\nsteps = 5\n", encoding="utf-8"
+        )
+        out = tmp_path / "h.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        flags = tmp_path / "flags.csv"
+        argv = ["run", "--scenario", "heavytop", "--integrator", "lp_cayley",
+                "--steps", "5", "--out", str(flags)]
+        assert cli.main(argv) == 0
+        assert filecmp.cmp(out, flags, shallow=False)
+        # a flag wins over the file's value
+        assert cli.main(
+            ["run", "--config", str(cfg), "--integrator", "lp_exp", "--out", str(out)]
+        ) == 0
+        argv[4] = "lp_exp"
+        assert cli.main(argv) == 0
+        assert filecmp.cmp(out, flags, shallow=False)
+        capsys.readouterr()
+        # neither a flag nor the file names the scenario
+        cfg.write_text("integrator = rk4\n", encoding="utf-8")
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(missing)]) == 1
+        assert "config must define 'scenario'" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_rotational_runs_never_import_numpy(self, tmp_path):
         # a fresh interpreter, because this one has numpy loaded already
