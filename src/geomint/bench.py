@@ -29,7 +29,6 @@ from .errors import (
     IncompatiblePair,
     IntegratorFailure,
     ParseError,
-    SingularOrigin,
     UnknownColumn,
     UnknownKey,
 )
@@ -349,15 +348,8 @@ def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     p = config.params
     hp = mech.HarmonicOscillatorParams(k=p["k"], m=p["m"])
     f = mech.ho_vectorfield(hp)
+    f1, f2 = mech.ho_split_fields(hp)
     energy = mech.ho_energy(hp)
-    ratio = hp.k / hp.m
-
-    def f1(q, v):
-        return v
-
-    def f2(q, v):
-        return -ratio * q
-
     step = _flat_stepper(config, f, f1, f2)
     cols = _COLUMNS["harmonic"]
     x = np.array([p["q0"], p["v0"]], dtype=float)
@@ -372,23 +364,9 @@ def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     p = config.params
     kp = mech.KeplerParams(mu=p["mu"])
     f = mech.kepler_vectorfield(kp)
+    f1, f2 = mech.kepler_split_fields(kp)
     energy = mech.kepler_energy(kp)
     angmom = mech.kepler_angmom(kp)
-
-    mu = kp.mu
-
-    def f1(q, v):
-        return v
-
-    def f2(q, v):
-        # numpy's two-term dot rounds like fma(q1, q1, q0 q0), so it stays on numpy
-        r2 = float(q.dot(q))
-        r3 = r2 * math.sqrt(r2)
-        # zero at r = 0, and also where |r|^3 underflows (|r| below about 1e-108)
-        if r3 == 0.0:
-            raise SingularOrigin("Kepler state at r = 0")
-        return -mu / r3 * q
-
     step = _flat_stepper(config, f, f1, f2)
     cols = _COLUMNS["kepler"]
     x = np.asarray(p["x0"], dtype=float)

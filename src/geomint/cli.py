@@ -18,6 +18,10 @@ from . import bench
 from .errors import GeomintError, IntegratorFailure
 
 
+# the run settings; each has its own flag, and --param takes model parameters only
+_RUN_FLAGS = ("scenario", "integrator", "dt", "steps", "theta")
+
+
 def _parse_param_overrides(pairs: list[str]) -> dict:
     out: dict[str, object] = {}
     for pair in pairs:
@@ -25,6 +29,8 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
             raise GeomintError(f"--param expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
+        if key in _RUN_FLAGS:
+            raise GeomintError(f"--param {key} is not a model parameter; use --{key}")
         try:
             out[key] = bench._parse_value(value)
         except ValueError:
@@ -37,7 +43,7 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
 def _cmd_run(args) -> int:
     overrides = _parse_param_overrides(args.param)
     # a flag that is given wins over the config file; any of them may come from it
-    for key in ("scenario", "integrator", "dt", "steps", "theta"):
+    for key in _RUN_FLAGS:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value

@@ -158,14 +158,16 @@ def triv_discretize_inverse(
     if s == 0.0:
         return g1, xi
 
-    def residual(x) -> Vec3:
-        x = tuple(x.tolist())
+    def point_residual(x: Vec3) -> Vec3:
         head = ret.tau(so3.vec_scale(x, -s))
         try:
             y = ret.tau_inv(Rotation(so3.mat_mul(head.m, m_rel.m)))
         except GeomintError as exc:
             raise OutOfChart(str(exc)) from exc
         return so3.vec_sub(y, so3.vec_scale(x, 1.0 - s))
+
+    def residual(stack) -> list[Vec3]:
+        return [point_residual(tuple(row)) for row in stack.tolist()]
 
     try:
         xi = tuple(odecore.newton_solve(residual, xi).tolist())

@@ -75,6 +75,7 @@ from .odecore import (
     NEWTON_TOL,
     SplitField,
     VectorField,
+    _values,
     newton_solve,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
@@ -195,14 +196,11 @@ def implicit_disc_step(
         # the relation is explicit; this is exactly the forward Euler update
         return x + h * np.asarray(f(x), dtype=float)
 
-    xs = x.tolist()
-    cx = [(1.0 - theta) * v for v in xs]
+    cx = (1.0 - theta) * x
 
     def residual(y: np.ndarray) -> np.ndarray:
-        ys = y.tolist()
-        mid = np.array([a + theta * b for a, b in zip(cx, ys)])
-        fm = np.asarray(f(mid), dtype=float).ravel().tolist()
-        return np.array([a - b - h * c for a, b, c in zip(ys, xs, fm)])
+        mid = cx + theta * y
+        return y - x - h * _values(f(mid), mid)
 
     return newton_solve(residual, x)
 
@@ -226,22 +224,21 @@ def cotangent_theta_step(
         return symplectic_euler_b_step(f1, f2, q, p, h)
 
     n = q.size
-    qp = q.tolist() + p.tolist()
-    # the fixed halves of the midpoints: (1 - theta) q and theta p
-    fixed = [(1.0 - theta) * v for v in qp[:n]] + [theta * v for v in qp[n:]]
-    weights = [theta] * n + [1.0 - theta] * n
+    qp = np.concatenate([q, p])
+    # the fixed halves of the midpoints, (1 - theta) q and theta p, and the
+    # weights of the unknown (q', p') in them
+    fixed = np.concatenate([(1.0 - theta) * q, theta * p])
+    weights = np.array([theta] * n + [1.0 - theta] * n)
 
     def residual(flat: np.ndarray) -> np.ndarray:
-        v = flat.tolist()
-        mid = [a + w * b for a, w, b in zip(fixed, weights, v)]
-        qm, pm = np.array(mid[:n]), np.array(mid[n:])
-        g = (
-            np.asarray(f1(qm, pm), dtype=float).ravel().tolist()
-            + np.asarray(f2(qm, pm), dtype=float).ravel().tolist()
-        )
-        return np.array([a - b - h * c for a, b, c in zip(v, qp, g)])
+        mid = fixed + weights * flat
+        qm, pm = mid[:, :n], mid[:, n:]
+        g = np.empty_like(flat)
+        g[:, :n] = _values(f1(qm, pm), qm)
+        g[:, n:] = _values(f2(qm, pm), pm)
+        return flat - qp - h * g
 
-    sol = newton_solve(residual, np.array(qp))
+    sol = newton_solve(residual, qp)
     return sol[:n], sol[n:]
 
 
@@ -598,11 +595,11 @@ def _solve_heavytop_omega(
     # stiff parameters: fall back to Newton on the same residual
     import numpy as np
 
-    def residual(arr: np.ndarray) -> np.ndarray:
-        r, _, _, _ = _heavytop_eval(
-            inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag
-        )
-        return np.array(r)
+    def residual(stack: np.ndarray) -> np.ndarray:
+        return np.array([
+            _heavytop_eval(inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, tag)[0]
+            for row in stack
+        ])
 
     sol = newton_solve(residual, np.array(omega))
     omega = (sol[0], sol[1], sol[2])

@@ -1,9 +1,10 @@
 """Model zoo: benchmark vector fields and their invariant observers.
 
 Flat models (harmonic oscillator, planar Kepler, planar pendulum and its
-cylinder embedding) are expressed as numpy vector fields; the rotational
-models (free rigid body, heavy top) expose energy and Casimir observers over
-plain 3-tuples.
+cylinder embedding) are expressed as numpy vector fields on a stack of states
+along the last axis, as odecore.VectorField describes; the rotational models
+(free rigid body, heavy top) expose energy and Casimir observers over plain
+3-tuples.
 
 Kepler runs in the planar reduced form: the two-body problem collapses to
 r'' = -mu r/|r|^3 with mu = G(m1 + m2) after splitting off the uniformly
@@ -43,10 +44,23 @@ def ho_vectorfield(params: HarmonicOscillatorParams) -> Callable[[np.ndarray], n
     ratio = params.k / params.m
 
     def f(x: np.ndarray) -> np.ndarray:
-        q, v = x.tolist()
-        return np.array([v, -ratio * q])
+        q, v = x.T
+        return np.array([v, -ratio * q]).T
 
     return f
+
+
+def ho_split_fields(params: HarmonicOscillatorParams) -> tuple[Callable, Callable]:
+    """The split form (f1, f2): q' = f1(q, v) = v, v' = f2(q, v) = -k q / m."""
+    ratio = params.k / params.m
+
+    def f1(q, v):
+        return v
+
+    def f2(q, v):
+        return -ratio * q
+
+    return f1, f2
 
 
 def ho_energy(params: HarmonicOscillatorParams) -> Callable[[float, float], float]:
@@ -78,16 +92,41 @@ def kepler_vectorfield(params: KeplerParams) -> Callable[[np.ndarray], np.ndarra
     mu = params.mu
 
     def f(x: np.ndarray) -> np.ndarray:
-        rx, ry, vx, vy = x.tolist()
+        rx, ry, vx, vy = x.T
         r2 = rx * rx + ry * ry
-        r3 = r2 * math.sqrt(r2)
+        r3 = r2 * np.sqrt(r2)
         # zero at r = 0, and also where |r|^3 underflows (|r| below about 1e-108)
-        if r3 == 0.0:
+        if np.count_nonzero(r3) < r3.size:
             raise SingularOrigin("Kepler state at r = 0")
         coeff = -mu / r3
-        return np.array([vx, vy, coeff * rx, coeff * ry])
+        return np.array([vx, vy, coeff * rx, coeff * ry]).T
 
     return f
+
+
+def kepler_split_fields(params: KeplerParams) -> tuple[Callable, Callable]:
+    """The split form (f1, f2): r' = f1(r, v) = v, v' = f2(r, v) = -mu r / |r|^3.
+
+    |r|^2 is np.vecdot(r, r), which rounds like r.dot(r), i.e. like
+    fma(ry, ry, rx rx), and so differs at roundoff from kepler_vectorfield's
+    rx rx + ry ry.
+    """
+    import numpy as np
+
+    mu = params.mu
+
+    def f1(q, v):
+        return v
+
+    def f2(q, v):
+        r2 = np.vecdot(q, q)
+        r3 = r2 * np.sqrt(r2)
+        # zero at r = 0, and also where |r|^3 underflows
+        if np.count_nonzero(r3) < r3.size:
+            raise SingularOrigin("Kepler state at r = 0")
+        return (-mu / r3)[..., None] * q
+
+    return f1, f2
 
 
 def kepler_energy(params: KeplerParams) -> Callable[[np.ndarray], float]:
@@ -131,10 +170,12 @@ def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     import numpy as np
 
     ml2, mgl = params.ml2, params.mgl
+    # math.sin on each row: np.sin is not bound to give the same bits
+    sin = np.frompyfunc(math.sin, 1, 1)
 
     def f(x: np.ndarray) -> np.ndarray:
-        theta, p = x.tolist()
-        return np.array([p / ml2, -mgl * math.sin(theta)])
+        theta, p = x.T
+        return np.array([p / ml2, -mgl * sin(theta)], dtype=float).T
 
     return f
 
@@ -159,8 +200,8 @@ def pendulum_embedded_vf(params: PendulumParams) -> Callable[[np.ndarray], np.nd
     ml2, mgl = params.ml2, params.mgl
 
     def f(s: np.ndarray) -> np.ndarray:
-        x, y, z = s.tolist()
-        return np.array([-y * z / ml2, x * z / ml2, -mgl * y])
+        x, y, z = s.T
+        return np.array([-y * z / ml2, x * z / ml2, -mgl * y]).T
 
     return f
 

@@ -28,7 +28,12 @@ from typing import Callable
 from .errors import NoConvergence, SingularJacobian
 
 # numpy is imported inside the functions that use it, so that importing geomint
-# never loads it; hence the string annotations
+# never loads it; hence the string annotations.  A field takes a stack of points
+# along the last axis: an (m, n) array, one point per row, maps to the (m, n)
+# array of its values, a single point of shape (n,) to shape (n,), and further
+# leading axes pass through.  Fields broadcast like numpy ufuncs, so a split
+# field may pair a single q with a stack of v; for n = 1 it may return one value
+# per point, without the last axis.
 VectorField = Callable[["np.ndarray"], "np.ndarray"]
 SplitField = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
@@ -153,6 +158,11 @@ def newton_solve(
 ) -> np.ndarray:
     """Root of residual(x) = 0 by Newton with a central-difference Jacobian.
 
+    The residual maps an (m, n) stack of points, one point per row, to the
+    (m, n) stack of their residuals.  Each iteration calls it twice: on x[None]
+    for the convergence test, and on the 2n rows x + h e_1 .. x + h e_n,
+    x - h e_1 .. x - h e_n for the whole Jacobian.
+
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
     Jacobian cannot be inverted.
@@ -167,12 +177,12 @@ def newton_solve(
     # each point bitwise equal to x - h e_i, signed zeros included
     shift = h * np.eye(n)
     shifts = np.concatenate([shift, -shift])
-    r = np.asarray(residual(x), dtype=float)
+    r = np.asarray(residual(x[None]), dtype=float)[0]
     for _ in range(NEWTON_MAX_ITER):
         # false for a nan entry, as the inf-norm test would be
         if all(abs(v) <= tol for v in r.tolist()):
             return x
-        vals = np.array([residual(pt) for pt in x + shifts], dtype=float)
+        vals = np.asarray(residual(x + shifts), dtype=float)
         jac = ((vals[:n] - vals[n:]) / (2.0 * h)).T
         try:
             step = np.linalg.solve(jac, r)
@@ -181,10 +191,25 @@ def newton_solve(
         if not all(map(math.isfinite, step.tolist())):
             raise SingularJacobian("non-finite Newton step")
         x = x - step
-        r = np.asarray(residual(x), dtype=float)
+        r = np.asarray(residual(x[None]), dtype=float)[0]
     if all(abs(v) <= tol for v in r.tolist()):
         return x
     raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(r))))
+
+
+def _values(values, stack: np.ndarray) -> np.ndarray:
+    """A field's values on a stack of points, as an array that broadcasts to it.
+
+    On one-dimensional states a field may return one value per point, without
+    the last axis, which gets it back here.  Other values pass as they are, so
+    a field that ignores a stacked argument may return a single point.
+    """
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    if stack.shape[-1] == 1 and values.ndim < stack.ndim:
+        return values[..., None]
+    return values
 
 
 # --- Euler family ---------------------------------------------------------------
@@ -206,12 +231,9 @@ def implicit_euler_step(
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    xs = x.tolist()
 
     def residual(y: np.ndarray) -> np.ndarray:
-        # raveled, since a field may return a scalar on a one-dimensional state
-        fy = np.asarray(f(y), dtype=float).ravel().tolist()
-        return np.array([a - b - h * c for a, b, c in zip(y.tolist(), xs, fy)])
+        return y - x - h * _values(f(y), y)
 
     return newton_solve(residual, x)
 
@@ -232,11 +254,9 @@ def symplectic_euler_a_step(
 
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    vs = v.tolist()
 
     def residual(w: np.ndarray) -> np.ndarray:
-        g = np.asarray(f2(q, w), dtype=float).ravel().tolist()
-        return np.array([a - b - h * c for a, b, c in zip(w.tolist(), vs, g)])
+        return w - v - h * _values(f2(q, w), w)
 
     v_new = newton_solve(residual, v)
     q_new = q + h * np.asarray(f1(q, v_new), dtype=float)
@@ -255,11 +275,9 @@ def symplectic_euler_b_step(
 
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    qs = q.tolist()
 
     def residual(w: np.ndarray) -> np.ndarray:
-        g = np.asarray(f1(w, v), dtype=float).ravel().tolist()
-        return np.array([a - b - h * c for a, b, c in zip(w.tolist(), qs, g)])
+        return w - q - h * _values(f1(w, v), w)
 
     q_new = newton_solve(residual, q)
     v_new = v + h * np.asarray(f2(q_new, v), dtype=float)
@@ -294,11 +312,13 @@ def rk_step(
         return x + h * (b @ k)
 
     def residual(flat: np.ndarray) -> np.ndarray:
-        k = flat.reshape(s, n)
-        out = np.empty_like(k)
+        # one (s, n) block of slopes per row; a[i] @ k sums each row's block
+        k = flat.reshape(-1, s, n)
+        g = np.empty_like(k)
         for i in range(s):
-            out[i] = k[i] - np.asarray(f(x + h * (a[i] @ k)), dtype=float)
-        return out.ravel()
+            xi = x + h * (a[i] @ k)
+            g[:, i] = _values(f(xi), xi)
+        return flat - g.reshape(flat.shape)
 
     guess = np.tile(np.asarray(f(x), dtype=float), s)
     k = newton_solve(residual, guess).reshape(s, n)
@@ -326,30 +346,26 @@ def prk_step(
     s = ptab.stages
     n = q.size
     sn = s * n
-    qs, ps = q.tolist(), p.tolist()
-    rows, rows_hat = ptab.a.tolist(), ptab.a_hat.tolist()
-    # one stage point per distinct row: rows may repeat, as Stormer-Verlet's two
-    # a_hat rows do.  Rows equal up to the sign of a zero give the same point,
-    # since a stage sum starts at +0.0 and so never becomes -0.0.
-    q_rows = list(dict.fromkeys(map(tuple, rows)))
-    p_rows = list(dict.fromkeys(map(tuple, rows_hat)))
-    stages = [
-        (q_rows.index(tuple(row)), p_rows.index(tuple(row_hat)))
-        for row, row_hat in zip(rows, rows_hat)
-    ]
-    # where slope j of k, and of l, starts in the flat unknown (k_1..k_s, l_1..l_s)
-    k_starts = [j * n for j in range(s)]
-    l_starts = [sn + j * n for j in range(s)]
+    # column j of a and of a_hat, shaped (2, s, 1) against slopes (m, 2, 1, n)
+    coeffs = [np.array([ptab.a[:, j], ptab.a_hat[:, j]])[:, :, None] for j in range(s)]
+    origin = np.array([q, p])[:, None]
 
     def residual(flat: np.ndarray) -> np.ndarray:
-        v = flat.tolist()
-        qpts = [np.array(_stage_point(qs, h, row, v, k_starts)) for row in q_rows]
-        ppts = [np.array(_stage_point(ps, h, row, v, l_starts)) for row in p_rows]
-        fk, fl = [], []
-        for i, j in stages:
-            fk.append(f1(qpts[i], ppts[j]))
-            fl.append(f2(qpts[i], ppts[j]))
-        return flat - np.concatenate(fk + fl, axis=None, dtype=float)
+        # each row is (k_1..k_s, l_1..l_s); slopes[:, 0] holds the k, slopes[:, 1] the l
+        slopes = flat.reshape(-1, 2, s, n)
+        # every stage point of q and of p at once: each sum starts at +0.0 and adds
+        # the products in stage order, as numpy's gemv does for row @ k.  The two
+        # agree bit for bit when every product is exact (coefficients such as 0,
+        # 1/2 and 1, slopes not subnormal) and there are at most three stages.
+        acc = 0.0
+        for j, c in enumerate(coeffs):
+            acc = acc + c * slopes[:, :, None, j]
+        points = origin + h * acc
+        qs, ps = points[:, 0], points[:, 1]
+        g = np.empty_like(slopes)
+        g[:, 0] = _values(f1(qs, ps), qs)
+        g[:, 1] = _values(f2(qs, ps), ps)
+        return flat - g.reshape(flat.shape)
 
     guess = np.array(
         np.asarray(f1(q, p), dtype=float).ravel().tolist() * s
@@ -359,23 +375,6 @@ def prk_step(
     k = sol[:sn].reshape(s, n)
     l = sol[sn:].reshape(s, n)
     return q + h * (ptab.b @ k), p + h * (ptab.b_hat @ l)
-
-
-def _stage_point(x: list, h: float, row: list, v: list, starts: list) -> list:
-    """x + h sum_j row[j] k_j on floats, where k_j[m] is v[starts[j] + m].
-
-    Each sum starts at +0.0 and adds the products in stage order, as numpy's
-    gemv does for row @ k.  The two agree bit for bit when every product is
-    exact (coefficients such as 0, 1/2 and 1, slopes not subnormal) and there
-    are at most three stages; otherwise they may differ at roundoff.
-    """
-    out = []
-    for m, xm in enumerate(x):
-        acc = 0.0
-        for c, start in zip(row, starts):
-            acc += c * v[start + m]
-        out.append(xm + h * acc)
-    return out
 
 
 # --- coefficient checkers ---------------------------------------------------------

@@ -71,7 +71,8 @@ def test_criterion_1_harmonic_oscillator():
         cols = [step(np.array([1.0, 0.0])), step(np.array([0.0, 1.0]))]
         return np.column_stack(cols)
 
-    field = lambda x: np.array([x[1], -x[0]])
+    # fields take a stack of states along the last axis
+    field = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)
     f1 = lambda q, v: np.asarray(v, dtype=float)
     f2 = lambda q, v: -np.asarray(q, dtype=float)
 

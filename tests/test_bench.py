@@ -618,6 +618,29 @@ class TestCli:
         assert "config must define 'scenario'" in capsys.readouterr().err
         assert not missing.exists()
 
+    def test_param_does_not_set_run_flags(self, tmp_path, capsys):
+        out = tmp_path / "q.csv"
+        # --param was a second way to set the pair and the step count
+        argv = ["run", "--param", "scenario=harmonic", "--param", "integrator=rk4",
+                "--param", "steps=3", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "--param scenario is not a model parameter; use --scenario" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # and beside the flag it was dropped without a word
+        argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
+                "--steps", "3", "--param", "scenario=harmonic", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "use --scenario" in capsys.readouterr().err
+        assert not out.exists()
+        for key, value in (("dt", "0.1"), ("theta", "0.3")):
+            argv = ["run", "--scenario", "kepler", "--integrator", "theta_family",
+                    "--steps", "3", "--param", f"{key}={value}", "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert f"use --{key}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_rotational_runs_never_import_numpy(self, tmp_path):
         # a fresh interpreter, because this one has numpy loaded already
         script = textwrap.dedent(

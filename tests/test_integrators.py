@@ -45,7 +45,9 @@ from geomint.mechanics import (
     QuadrotorParams,
     RigidBodyParams,
     heavytop_casimirs,
+    ho_split_fields,
     ho_vectorfield,
+    kepler_split_fields,
     kepler_vectorfield,
     pendulum_embedded_vf,
     rigidbody_energy,
@@ -54,10 +56,13 @@ from geomint.odecore import (
     FD_STEP,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    ButcherTableau,
     PartitionedTableau,
     implicit_euler_step,
+    implicit_euler_tableau,
     newton_solve,
     prk_step,
+    rk_step,
     stormer_verlet_tableau,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
@@ -95,7 +100,7 @@ CAY = cayley_retraction()
 
 
 def _ho_field(x):
-    return np.array([x[1], -x[0]])
+    return np.stack([x[..., 1], -x[..., 0]], axis=-1)
 
 
 def _f1(q, p):
@@ -835,11 +840,13 @@ def _solve_heavytop_omega_reference(params, pi, gamma, dt, z, tag):
             return omega, d, pi_new, gamma_new
         omega = vec_add(omega, mat_vec(inv, res))
 
-    def residual(arr):
-        r, _, _, _ = _heavytop_eval_reference(
-            inertia, pi, gamma, (arr[0], arr[1], arr[2]), dt, z, tag
-        )
-        return np.array(r)
+    def residual(stack):
+        return np.array([
+            _heavytop_eval_reference(
+                inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, tag
+            )[0]
+            for row in stack
+        ])
 
     sol = newton_solve(residual, np.array(omega))
     omega = (sol[0], sol[1], sol[2])
@@ -960,9 +967,10 @@ class TestKernelOracles:
 # --- bitwise oracles for the flat steps --------------------------------------------
 #
 # The references below are the numpy-composed forms of newton_solve and of the
-# flat step residuals, kept here verbatim.  The library forms compute on
-# Python floats; they must perform the same IEEE operations in the same order,
-# so every Newton iterate, and so the outcome, agrees bit for bit.
+# flat step residuals, kept here verbatim: they evaluate one point per residual
+# call.  The library evaluates each Jacobian's 2n points as one stack, on numpy
+# columns; every row must take the same IEEE operations in the same order, so
+# every Newton iterate, and so the outcome, agrees bit for bit.
 
 def _newton_solve_reference(residual, x0):
     x = np.array(x0, dtype=float)
@@ -1056,6 +1064,24 @@ def _prk_reference(ptab, f1, f2, q, p, h):
     return q + h * (b @ k), p + h * (bh @ l)
 
 
+def _rk_reference(tab, f, x, h):
+    x = np.asarray(x, dtype=float)
+    s = tab.stages
+    n = x.size
+    a, b = tab.a, tab.b
+
+    def residual(flat):
+        k = flat.reshape(s, n)
+        out = np.empty_like(k)
+        for i in range(s):
+            out[i] = k[i] - np.asarray(f(x + h * (a[i] @ k)), dtype=float)
+        return out.ravel()
+
+    guess = np.tile(np.asarray(f(x), dtype=float), s)
+    k = _newton_solve_reference(residual, guess).reshape(s, n)
+    return x + h * (b @ k)
+
+
 def _implicit_disc_reference(f, x, h, theta):
     x = np.asarray(x, dtype=float)
     if theta == 0.0:
@@ -1118,8 +1144,12 @@ def _ho_split(ratio):
     return _f1, lambda q, v: -ratio * np.asarray(q, dtype=float)
 
 
+# math.sin on each entry: np.sin need not round alike on a stack and on a row
+_sin = np.frompyfunc(math.sin, 1, 1)
+
+
 def _pendulum_split(q, v):
-    return -np.sin(np.asarray(q, dtype=float))
+    return -np.asarray(_sin(q), dtype=float)
 
 
 def _abs_force(q, v):
@@ -1128,21 +1158,32 @@ def _abs_force(q, v):
 
 
 def _abs_field(x):
-    return np.array([x[1], -math.copysign(1.0, x[0])])
+    return np.stack([x[..., 1], -np.copysign(1.0, x[..., 0])], axis=-1)
 
 
 # Zeros of both signs, and no subnormals: numpy's gemv fuses each multiply-add,
-# so a subnormal slope times 1/2 may round differently from the float sum (see
-# odecore._stage_point); a run's slopes would have to fall below 2.2e-308.
+# so a subnormal slope times 1/2 may round differently from the stage sums of
+# odecore.prk_step; a run's slopes would have to fall below 2.2e-308.
 _coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_subnormal=False))
 _h = st.one_of(st.sampled_from([0.0, -0.0, 0.01]), st.floats(-0.5, 0.5, allow_subnormal=False))
 _theta = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
 _positive = st.floats(0.1, 10.0)
+# any finite float, and magnitudes whose squares overflow or underflow
+_magnitude = st.one_of(
+    _coord,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-170, 160)),
+)
+# (library fields, per-point reference fields): the library's Kepler split
+# field against its numpy-composed form, the others written on numpy already
 _split_fields = st.one_of(
-    st.builds(_ho_split, _positive),
-    st.builds(_kepler_split_reference, _positive),
-    st.just((_f1, _pendulum_split)),
-    st.just((_f1, _abs_force)),
+    st.builds(lambda r: (_ho_split(r),) * 2, _positive),
+    st.builds(
+        lambda mu: (kepler_split_fields(KeplerParams(mu=mu)), _kepler_split_reference(mu)),
+        _positive,
+    ),
+    st.just(((_f1, _pendulum_split),) * 2),
+    st.just(((_f1, _abs_force),) * 2),
 )
 
 
@@ -1170,8 +1211,20 @@ def _full_states(draw):
     return f, np.array(draw(st.lists(_coord, min_size=n, max_size=n)))
 
 
-# rows repeat in a different pattern in a and a_hat, so prk_step's one point per
-# distinct row must still give each stage its own pair of rows
+# implicit Euler, the implicit midpoint rule and the two-stage Gauss rule, whose
+# coefficients make inexact products
+_IMPLICIT_TABLEAUX = (
+    implicit_euler_tableau(),
+    ButcherTableau(a=[[0.5]], b=[1.0]),
+    ButcherTableau(
+        a=[[0.25, 0.25 - math.sqrt(3.0) / 6.0], [0.25 + math.sqrt(3.0) / 6.0, 0.25]],
+        b=[0.5, 0.5],
+    ),
+)
+
+
+# rows repeat in a different pattern in a and a_hat, so each stage must still
+# get its own pair of rows
 _REPEATED_ROWS = PartitionedTableau(
     a=[[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
     b=[0.5, 0.0, 0.5],
@@ -1193,12 +1246,14 @@ class TestFlatOracles:
     @example([1e155, 1.0], [1.0, 0.0, 0.0, 0.0])
     def test_newton_solve_bitwise(self, x0, c):
         # coupled, nonlinear, with a root only for some draws; the copysign
-        # term tells -0.0 from 0.0 in the neighbouring unknown
+        # term tells -0.0 from 0.0 in the neighbouring unknown.  It maps each
+        # row of a stack as it maps a single point.
         def residual(x):
-            n = x.size
+            n = x.shape[-1]
+            prev = np.roll(x, 1, axis=-1)
             return (
-                x * x * c[0] + np.roll(x, 1) * c[1] - np.sin(x) * c[2] - c[3] + 0.5 * n
-                + 1e-3 * np.copysign(1.0, np.roll(x, 1))
+                x * x * c[0] + prev * c[1] - _sin(x).astype(float) * c[2] - c[3] + 0.5 * n
+                + 1e-3 * np.copysign(1.0, prev)
             )
 
         new = _outcome(newton_solve, residual, np.array(x0))
@@ -1206,37 +1261,76 @@ class TestFlatOracles:
         assert new == ref
 
     @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[_magnitude] * 4), min_size=1, max_size=8), _positive)
+    @example([(0.0, -0.0, 1.0, 2.0), (1.0, 0.5, -0.0, 0.0)], 1.0)
+    def test_split_fields_rows_bitwise(self, rows, mu):
+        # the library's split fields on a stack, against the per-point references
+        x = np.array(rows)
+        q, v = x[:, :2], x[:, 2:]
+        pairs = (
+            (ho_split_fields(HarmonicOscillatorParams(k=mu, m=1.0)), _ho_split(mu)),
+            (kepler_split_fields(KeplerParams(mu=mu)), _kepler_split_reference(mu)),
+        )
+        for fields, references in pairs:
+            for field, reference in zip(fields, references):
+                refs = [_outcome(reference, a, b) for a, b in zip(q, v)]
+                raised = [r for r in refs if r[0] == "raised"]
+                if raised:
+                    # one singular row fails the whole stack, with the same cause
+                    assert _outcome(field, q, v) == raised[0]
+                    continue
+                expected = np.array([np.asarray(reference(a, b), dtype=float) for a, b in zip(q, v)])
+                assert _outcome(field, q, v) == ("ok", _bits(expected))
+                # a stack of stage points, as prk_step passes, maps the same rows
+                assert _outcome(field, q[:, None], v[:, None]) == ("ok", _bits(expected[:, None]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_magnitude, _magnitude), min_size=1, max_size=8))
+    @example([(1.3e154, 1.3e154), (1e-162, -3e-162), (2.2e-308, 0.0)])
+    def test_kepler_r2_matches_dot(self, rows):
+        # the split Kepler force takes |r|^2 from np.vecdot, which must round
+        # as q.dot(q) does on every row, near overflow and underflow included
+        q = np.array(rows)
+        expected = np.array([row.dot(row) for row in q])
+        assert _bits(np.vecdot(q, q)) == _bits(expected)
+        assert _bits(np.vecdot(q[:, None], q[:, None])) == _bits(expected[:, None])
+
+    @settings(max_examples=300, deadline=None)
     @given(_split_fields, _split_states(), _h)
     # the Kepler force at the stock state, with signed zeros in q and p
-    @example(_kepler_split_reference(1.0), (np.array([1.0, -0.0]), np.array([-0.0, 0.5])), 0.01)
+    @example(
+        (kepler_split_fields(KeplerParams(mu=1.0)), _kepler_split_reference(1.0)),
+        (np.array([1.0, -0.0]), np.array([-0.0, 0.5])),
+        0.01,
+    )
     def test_prk_bitwise(self, fields, state, h):
-        f1, f2 = fields
+        (f1, f2), (g1, g2) = fields
         q, p = state
         for tab in (stormer_verlet_tableau(), symplectic_euler_tableau(), _REPEATED_ROWS):
             new = _outcome(prk_step, tab, f1, f2, q, p, h)
-            ref = _outcome(_prk_reference, tab, f1, f2, q, p, h)
+            ref = _outcome(_prk_reference, tab, g1, g2, q, p, h)
             assert new == ref
 
     @settings(max_examples=300, deadline=None)
     @given(_split_fields, _split_states(), _h)
     def test_symplectic_euler_bitwise(self, fields, state, h):
-        f1, f2 = fields
+        (f1, f2), (g1, g2) = fields
         q, p = state
         for step, reference in (
             (symplectic_euler_a_step, _symplectic_euler_a_reference),
             (symplectic_euler_b_step, _symplectic_euler_b_reference),
         ):
             new = _outcome(step, f1, f2, q, p, h)
-            ref = _outcome(reference, f1, f2, q, p, h)
+            ref = _outcome(reference, g1, g2, q, p, h)
             assert new == ref
 
     @settings(max_examples=300, deadline=None)
     @given(_split_fields, _split_states(), _h, _theta)
     def test_cotangent_theta_bitwise(self, fields, state, h, theta):
-        f1, f2 = fields
+        (f1, f2), (g1, g2) = fields
         q, p = state
         new = _outcome(cotangent_theta_step, f1, f2, q, p, h, theta)
-        ref = _outcome(_cotangent_theta_reference, f1, f2, q, p, h, theta)
+        ref = _outcome(_cotangent_theta_reference, g1, g2, q, p, h, theta)
         assert new == ref
 
     @settings(max_examples=300, deadline=None)
@@ -1249,21 +1343,27 @@ class TestFlatOracles:
         new = _outcome(implicit_disc_step, f, x, h, theta)
         ref = _outcome(_implicit_disc_reference, f, x, h, theta)
         assert new == ref
+        for tab in _IMPLICIT_TABLEAUX:
+            new = _outcome(rk_step, tab, f, x, h)
+            ref = _outcome(_rk_reference, tab, f, x, h)
+            assert new == ref
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
     def test_scalar_fields_on_one_dimensional_states(self, theta):
-        # a field may return a scalar for a one-dimensional state, as numpy broadcasts it
+        # a field may return one value per point, without the last axis, for
+        # a one-dimensional state, as numpy broadcasts it
         def f1(q, p):
-            return p[0]
+            return p[..., 0]
 
         def f2(q, p):
-            return -2.0 * q[0]
+            return -2.0 * q[..., 0]
 
         def f(x):
-            return -2.0 * x[0]
+            return -2.0 * x[..., 0]
 
         q, p, h = np.array([0.7]), np.array([-0.2]), 0.1
         for step, reference, args in (
+            (rk_step, _rk_reference, (_IMPLICIT_TABLEAUX[-1], f, q, h)),
             (prk_step, _prk_reference, (stormer_verlet_tableau(), f1, f2, q, p, h)),
             (symplectic_euler_a_step, _symplectic_euler_a_reference, (f1, f2, q, p, h)),
             (symplectic_euler_b_step, _symplectic_euler_b_reference, (f1, f2, q, p, h)),

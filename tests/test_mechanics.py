@@ -337,6 +337,17 @@ def _same_bits(new, ref):
     return new.shape == ref.shape and new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
 
 
+def _stacks(n):
+    """Stacks of one to six states of size n, one state per row."""
+    return st.lists(st.lists(_coord, min_size=n, max_size=n), min_size=1, max_size=6).map(np.array)
+
+
+def _same_rows(field, reference, x):
+    """The field on a stack, and on it with a leading axis, is the reference row by row."""
+    expected = np.array([reference(row) for row in x])
+    return _same_bits(field(x), expected) and _same_bits(field(x[None]), expected[None])
+
+
 # the references overflow on the large draws, as the fields do
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestFlatFieldOracles:
@@ -371,3 +382,31 @@ class TestFlatFieldOracles:
                     f(x)
             return
         assert _same_bits(kepler_vectorfield(kp)(x), _kepler_reference(kp)(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(2), _positive, _positive)
+    def test_ho_and_pendulum_stack_rows(self, x, a, b):
+        ho = HarmonicOscillatorParams(k=a, m=b)
+        assert _same_rows(ho_vectorfield(ho), _ho_reference(ho), x)
+        pp = PendulumParams(ml2=a, mgl=b)
+        assert _same_rows(pendulum_vf(pp), _pendulum_reference(pp), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(3), _positive, _positive)
+    def test_pendulum_embedded_stack_rows(self, x, a, b):
+        pp = PendulumParams(ml2=a, mgl=b)
+        assert _same_rows(pendulum_embedded_vf(pp), _pendulum_embedded_reference(pp), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(4), _positive)
+    def test_kepler_stack_rows(self, x, mu):
+        r2 = [row[0] * row[0] + row[1] * row[1] for row in x.tolist()]
+        # as in test_kepler_bitwise, no row where |r|^3 underflows
+        assume(all(v == 0.0 or v * math.sqrt(v) != 0.0 for v in r2))
+        kp = KeplerParams(mu=mu)
+        if 0.0 in r2:
+            # one state at the origin fails the whole stack
+            with pytest.raises(SingularOrigin):
+                kepler_vectorfield(kp)(x)
+            return
+        assert _same_rows(kepler_vectorfield(kp), _kepler_reference(kp), x)

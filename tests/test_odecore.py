@@ -7,8 +7,10 @@ matrices and from polynomial arithmetic (the degree-4 Taylor value for RK4).
 import numpy as np
 import pytest
 
+from geomint import bench
 from geomint import odecore as ode
 from geomint.errors import NoConvergence, SingularJacobian
+from geomint.mechanics import KeplerParams, kepler_split_fields
 from geomint.odecore import (
     ButcherTableau,
     PartitionedTableau,
@@ -27,8 +29,8 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _ho_field(x):
-    """Harmonic oscillator with k/m = 1."""
-    return np.array([x[1], -x[0]])
+    """Harmonic oscillator with k/m = 1, on a stack of states along the last axis."""
+    return np.stack([x[..., 1], -x[..., 0]], axis=-1)
 
 
 def _f1(q, v):
@@ -66,8 +68,8 @@ class TestNewton:
         out = newton_solve(residual, np.array([0.0]))
         assert abs(float(out[0]) - 2.0) < 1e-12
         # essentially one Newton iteration: a finite-difference Jacobian costs
-        # two evaluations, plus the entry/exit residuals and one fd-roundoff
-        # polish step at most
+        # one stacked evaluation, plus the entry/exit residuals and one
+        # fd-roundoff polish step at most
         assert len(calls) <= 8
 
     def test_quadratic(self):
@@ -76,11 +78,40 @@ class TestNewton:
 
     def test_flat_residual_singular(self):
         with pytest.raises(SingularJacobian):
-            newton_solve(lambda x: np.array([1.0]), np.array([0.0]))
+            newton_solve(lambda x: np.ones_like(x), np.array([0.0]))
 
     def test_no_real_root(self):
         with pytest.raises(NoConvergence, match="no convergence after 50 iterations"):
             newton_solve(lambda x: x * x + 1.0, np.array([0.5]))
+
+    def test_kepler_stormer_verlet_stacks(self, monkeypatch):
+        # one stock Kepler Stormer-Verlet step: the residual sees x[None], then
+        # in each iteration the 2n rows x + [hI; -hI] and the next x[None], so
+        # two calls per iteration, at the points a per-point Jacobian would take
+        calls = []
+        solve = ode.newton_solve
+
+        def recording(residual, x0):
+            def recorded(stack):
+                calls.append(np.array(stack))
+                return residual(stack)
+
+            return solve(recorded, x0)
+
+        monkeypatch.setattr(ode, "newton_solve", recording)
+        config = bench.default_config("kepler", "stormer_verlet")
+        x0 = np.asarray(config.params["x0"], dtype=float)
+        f1, f2 = kepler_split_fields(KeplerParams(mu=config.params["mu"]))
+        prk_step(ode.stormer_verlet_tableau(), f1, f2, x0[:2], x0[2:], config.dt)
+
+        n = 8  # two stages of k and of l in the plane
+        shifts = np.concatenate([ode.FD_STEP * np.eye(n), -ode.FD_STEP * np.eye(n)])
+        iterations = (len(calls) - 1) // 2
+        assert iterations >= 1
+        assert [c.shape for c in calls] == [(1, n)] + [(2 * n, n), (1, n)] * iterations
+        for k in range(iterations):
+            x = calls[2 * k][0]
+            assert calls[2 * k + 1].tobytes() == (x + shifts).tobytes()
 
 
 class TestEulerSteps:
