@@ -46,31 +46,20 @@ def _quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def test_ledger_is_not_empty():
-    assert LEDGER
+def _check_summary(summary, runs, workload):
+    """The runs of both sides, and the summary taken from them.
 
-
-@pytest.mark.parametrize("path", LEDGER, ids=lambda p: p.name)
-def test_bench_file_schema(path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["label"] == path.stem[len("BENCH_"):]
-    for key in ("claim", "command", "conditions"):
-        assert isinstance(doc[key], str) and doc[key], key
-    workload = doc["workload"]
-    assert workload in WORKLOADS
-
-    runs = doc["runs"]
+    The summary holds the median and quartiles of each side's runs and the
+    number of pairs (parent run i, change run i) in which the change is better.
+    """
     assert set(runs) == set(SIDES)
     pairs = len(runs["parent"])
     assert pairs >= 2 and len(runs["change"]) == pairs
     for side in SIDES:
         for run in runs[side]:
             _check_run(run, workload, trace=0)
-
-    # the summary is the median and quartiles of each side's runs, and the
-    # number of pairs (parent run i, change run i) in which the change is better
-    assert set(doc["summary"]) == set(END_TO_END)
-    for name, entry in doc["summary"].items():
+    assert set(summary) == set(END_TO_END)
+    for name, entry in summary.items():
         assert entry["unit"] == END_TO_END[name]["unit"], name
         assert entry["better"] == END_TO_END[name]["better"], name
         assert entry["pairs"] == pairs, name
@@ -86,16 +75,40 @@ def test_bench_file_schema(path):
             wins = sum(c > p for p, c in zip(values["parent"], values["change"]))
         assert entry["change_better_in_pairs"] == wins, name
 
+
+def test_ledger_is_not_empty():
+    assert LEDGER
+
+
+@pytest.mark.parametrize("path", LEDGER, ids=lambda p: p.name)
+def test_bench_file_schema(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["label"] == path.stem[len("BENCH_"):]
+    for key in ("claim", "command", "conditions"):
+        assert isinstance(doc[key], str) and doc[key], key
+    workload = doc["workload"]
+    assert workload in WORKLOADS
+    _check_summary(doc["summary"], doc["runs"], workload)
+
     for traced in doc.get("trace", []):
         assert isinstance(traced["command"], str) and traced["command"]
         for side in SIDES:
             _check_run(traced[side], workload, trace=1)
 
-    # optional: microseconds per step of each operation of the workload, by side
+    # optional: the other workloads, run to show that they did not regress
+    for name, other in doc.get("other_workloads", {}).items():
+        assert name in WORKLOADS and name != workload
+        assert isinstance(other["command"], str) and other["command"]
+        _check_summary(other["summary"], other["runs"], name)
+
+    # optional: per-operation costs of the workload by side, microseconds per
+    # step and child CPU seconds; "how" says how they were taken
     if "op_us_per_step" in doc:
-        ops = doc["op_us_per_step"]
-        assert isinstance(ops["how"], str) and ops["how"]
-        assert set(ops["parent"]) == set(ops["change"]) and ops["parent"]
-        for side in SIDES:
-            for label, value in ops[side].items():
-                assert isinstance(value, (int, float)) and value > 0, (side, label)
+        assert isinstance(doc["op_us_per_step"]["how"], str)
+    for key in ("op_us_per_step", "op_child_cpu_s"):
+        if key in doc:
+            ops = doc[key]
+            assert set(ops["parent"]) == set(ops["change"]) and ops["parent"], key
+            for side in SIDES:
+                for label, value in ops[side].items():
+                    assert isinstance(value, (int, float)) and value > 0, (key, side, label)
