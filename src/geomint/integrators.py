@@ -75,7 +75,7 @@ from .odecore import (
     NEWTON_TOL,
     SplitField,
     VectorField,
-    _values,
+    _row_values,
     newton_solve,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
@@ -200,7 +200,7 @@ def implicit_disc_step(
 
     def residual(y: np.ndarray) -> np.ndarray:
         mid = cx + theta * y
-        return y - x - h * _values(f(mid), mid)
+        return y - x - h * _row_values(f(mid), mid)
 
     return newton_solve(residual, x)
 
@@ -234,8 +234,8 @@ def cotangent_theta_step(
         mid = fixed + weights * flat
         qm, pm = mid[:, :n], mid[:, n:]
         g = np.empty_like(flat)
-        g[:, :n] = _values(f1(qm, pm), qm)
-        g[:, n:] = _values(f2(qm, pm), pm)
+        g[:, :n] = _row_values(f1(qm, pm), qm)
+        g[:, n:] = _row_values(f2(qm, pm), pm)
         return flat - qp - h * g
 
     sol = newton_solve(residual, qp)

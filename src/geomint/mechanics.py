@@ -44,8 +44,8 @@ def ho_vectorfield(params: HarmonicOscillatorParams) -> Callable[[np.ndarray], n
     ratio = params.k / params.m
 
     def f(x: np.ndarray) -> np.ndarray:
-        q, v = x.T
-        return np.array([v, -ratio * q]).T
+        xt = x.T
+        return np.array([xt[1], -ratio * xt[0]]).T
 
     return f
 
@@ -92,24 +92,35 @@ def kepler_vectorfield(params: KeplerParams) -> Callable[[np.ndarray], np.ndarra
     mu = params.mu
 
     def f(x: np.ndarray) -> np.ndarray:
-        rx, ry, vx, vy = x.T
+        # columns by index: on a single point, cheaper than unpacking x.T
+        xt = x.T
+        rx, ry = xt[0], xt[1]
         r2 = rx * rx + ry * ry
         r3 = r2 * np.sqrt(r2)
         # zero at r = 0, and also where |r|^3 underflows (|r| below about 1e-108)
         if np.count_nonzero(r3) < r3.size:
             raise SingularOrigin("Kepler state at r = 0")
         coeff = -mu / r3
-        return np.array([vx, vy, coeff * rx, coeff * ry]).T
+        return np.array([xt[2], xt[3], coeff * rx, coeff * ry]).T
 
     return f
+
+
+def _self_dot(q: np.ndarray) -> np.ndarray:
+    """q . q for each point along the last axis, with shape (..., 1).
+
+    The batched product q^T q makes one BLAS dot per point, as q.dot(q) does,
+    so both round alike (for two terms like fma(q1, q1, q0 q0)); the plain sum
+    q0 q0 + q1 q1 differs at roundoff.
+    """
+    return (q[..., None, :] @ q[..., :, None])[..., 0]
 
 
 def kepler_split_fields(params: KeplerParams) -> tuple[Callable, Callable]:
     """The split form (f1, f2): r' = f1(r, v) = v, v' = f2(r, v) = -mu r / |r|^3.
 
-    |r|^2 is np.vecdot(r, r), which rounds like r.dot(r), i.e. like
-    fma(ry, ry, rx rx), and so differs at roundoff from kepler_vectorfield's
-    rx rx + ry ry.
+    |r|^2 comes from _self_dot, which rounds like r.dot(r) and so differs at
+    roundoff from kepler_vectorfield's rx rx + ry ry.
     """
     import numpy as np
 
@@ -119,12 +130,12 @@ def kepler_split_fields(params: KeplerParams) -> tuple[Callable, Callable]:
         return v
 
     def f2(q, v):
-        r2 = np.vecdot(q, q)
+        r2 = _self_dot(q)
         r3 = r2 * np.sqrt(r2)
         # zero at r = 0, and also where |r|^3 underflows
         if np.count_nonzero(r3) < r3.size:
             raise SingularOrigin("Kepler state at r = 0")
-        return (-mu / r3)[..., None] * q
+        return -mu / r3 * q
 
     return f1, f2
 
@@ -174,8 +185,8 @@ def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
     sin = np.frompyfunc(math.sin, 1, 1)
 
     def f(x: np.ndarray) -> np.ndarray:
-        theta, p = x.T
-        return np.array([p / ml2, -mgl * sin(theta)], dtype=float).T
+        xt = x.T
+        return np.array([xt[1] / ml2, -mgl * sin(xt[0])], dtype=float).T
 
     return f
 
@@ -200,7 +211,8 @@ def pendulum_embedded_vf(params: PendulumParams) -> Callable[[np.ndarray], np.nd
     ml2, mgl = params.ml2, params.mgl
 
     def f(s: np.ndarray) -> np.ndarray:
-        x, y, z = s.T
+        st = s.T
+        x, y, z = st[0], st[1], st[2]
         return np.array([-y * z / ml2, x * z / ml2, -mgl * y]).T
 
     return f

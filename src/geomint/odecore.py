@@ -33,7 +33,9 @@ from .errors import NoConvergence, SingularJacobian
 # array of its values, a single point of shape (n,) to shape (n,), and further
 # leading axes pass through.  Fields broadcast like numpy ufuncs, so a split
 # field may pair a single q with a stack of v; for n = 1 it may return one value
-# per point, without the last axis.
+# per point, without the last axis.  Handed only stacks, a field must return one
+# row per point: the implicit schemes raise ValueError on other leading axes,
+# which a field written for a single point (one that reads x[0]) gives.
 VectorField = Callable[["np.ndarray"], "np.ndarray"]
 SplitField = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
@@ -212,6 +214,24 @@ def _values(values, stack: np.ndarray) -> np.ndarray:
     return values
 
 
+def _row_values(values, stack: np.ndarray) -> np.ndarray:
+    """_values for a field whose every argument is the stack: one row per point.
+
+    A field written for a single point (say one that reads x[0]) maps a stack
+    to its first row, which would broadcast to every point and give a wrong
+    Jacobian without a word; it is rejected here.  Where one argument of a
+    split field is a single point (symplectic Euler), a single row of values
+    is legitimate and _values applies instead.
+    """
+    values = _values(values, stack)
+    if values.shape[:-1] != stack.shape[:-1]:
+        raise ValueError(
+            f"a field mapped a stack of shape {stack.shape} to values of shape "
+            f"{values.shape}; fields map an (m, n) stack of points to (m, n) values"
+        )
+    return values
+
+
 # --- Euler family ---------------------------------------------------------------
 
 def explicit_euler_step(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
@@ -233,7 +253,7 @@ def implicit_euler_step(
     x = np.asarray(x, dtype=float)
 
     def residual(y: np.ndarray) -> np.ndarray:
-        return y - x - h * _values(f(y), y)
+        return y - x - h * _row_values(f(y), y)
 
     return newton_solve(residual, x)
 
@@ -317,7 +337,7 @@ def rk_step(
         g = np.empty_like(k)
         for i in range(s):
             xi = x + h * (a[i] @ k)
-            g[:, i] = _values(f(xi), xi)
+            g[:, i] = _row_values(f(xi), xi)
         return flat - g.reshape(flat.shape)
 
     guess = np.tile(np.asarray(f(x), dtype=float), s)
@@ -363,8 +383,8 @@ def prk_step(
         points = origin + h * acc
         qs, ps = points[:, 0], points[:, 1]
         g = np.empty_like(slopes)
-        g[:, 0] = _values(f1(qs, ps), qs)
-        g[:, 1] = _values(f2(qs, ps), ps)
+        g[:, 0] = _row_values(f1(qs, ps), qs)
+        g[:, 1] = _row_values(f2(qs, ps), ps)
         return flat - g.reshape(flat.shape)
 
     guess = np.array(

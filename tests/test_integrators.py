@@ -44,6 +44,7 @@ from geomint.mechanics import (
     PendulumParams,
     QuadrotorParams,
     RigidBodyParams,
+    _self_dot,
     heavytop_casimirs,
     ho_split_fields,
     ho_vectorfield,
@@ -1288,12 +1289,18 @@ class TestFlatOracles:
     @given(st.lists(st.tuples(_magnitude, _magnitude), min_size=1, max_size=8))
     @example([(1.3e154, 1.3e154), (1e-162, -3e-162), (2.2e-308, 0.0)])
     def test_kepler_r2_matches_dot(self, rows):
-        # the split Kepler force takes |r|^2 from np.vecdot, which must round
-        # as q.dot(q) does on every row, near overflow and underflow included
+        # the split Kepler force takes |r|^2 from _self_dot, which must round
+        # as q.dot(q) does on every row, near overflow and underflow included,
+        # on a single point, a stack, and the strided stage points prk_step passes
         q = np.array(rows)
-        expected = np.array([row.dot(row) for row in q])
-        assert _bits(np.vecdot(q, q)) == _bits(expected)
-        assert _bits(np.vecdot(q[:, None], q[:, None])) == _bits(expected[:, None])
+        with np.errstate(over="ignore"):
+            expected = np.array([row.dot(row) for row in q])
+            for row, value in zip(q, expected):
+                assert _bits(_self_dot(row)) == _bits(np.array([value]))
+            assert _bits(_self_dot(q)) == _bits(expected[:, None])
+            assert _bits(_self_dot(q[:, None])) == _bits(expected[:, None, None])
+            stages = np.stack([q, -q, q], axis=1)[:, 1:]
+            assert _bits(_self_dot(stages)) == _bits(np.stack([expected, expected], 1)[..., None])
 
     @settings(max_examples=300, deadline=None)
     @given(_split_fields, _split_states(), _h)
@@ -1374,6 +1381,32 @@ class TestFlatOracles:
             new = _outcome(step, *args)
             assert new[0] == "ok"
             assert new == _outcome(reference, *args)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_single_point_fields_rejected(self, theta):
+        # fields written for one point read the first row of a stack; unchecked,
+        # it broadcast to every row and gave a wrong Jacobian.  (Symplectic
+        # Euler A/B, and the theta family at 0 and 1, pass one argument as a
+        # single point, where a single row of values is legitimate.)
+        def f1(q, p):
+            return p[0]
+
+        def f2(q, p):
+            return -2.0 * q[0]
+
+        def f(x):
+            return -2.0 * x[0]
+
+        q, p, h = np.array([0.7]), np.array([-0.2]), 0.1
+        for step, args in (
+            (rk_step, (_IMPLICIT_TABLEAUX[-1], f, q, h)),
+            (prk_step, (stormer_verlet_tableau(), f1, f2, q, p, h)),
+            (cotangent_theta_step, (f1, f2, q, p, h, theta)),
+            (implicit_euler_step, (f, q, h)),
+            (implicit_disc_step, (f, q, h, theta)),
+        ):
+            with pytest.raises(ValueError, match=r"fields map an \(m, n\) stack"):
+                step(*args)
 
     @settings(max_examples=40, deadline=None)
     @given(

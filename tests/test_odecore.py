@@ -67,10 +67,10 @@ class TestNewton:
 
         out = newton_solve(residual, np.array([0.0]))
         assert abs(float(out[0]) - 2.0) < 1e-12
-        # essentially one Newton iteration: a finite-difference Jacobian costs
-        # one stacked evaluation, plus the entry/exit residuals and one
-        # fd-roundoff polish step at most
-        assert len(calls) <= 8
+        # essentially one Newton iteration: the entry residual, then per
+        # iteration one stacked Jacobian evaluation and one residual, with one
+        # fd-roundoff polish iteration at most (1 + 2 + 2)
+        assert len(calls) <= 5
 
     def test_quadratic(self):
         out = newton_solve(lambda x: x * x - 4.0, np.array([3.0]))
