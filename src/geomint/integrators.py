@@ -63,6 +63,7 @@ which is exactly what they are here to demonstrate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -205,6 +206,16 @@ def implicit_disc_step(
     return newton_solve(residual, x)
 
 
+@functools.lru_cache(maxsize=64)
+def _theta_weights(theta: float, n: int) -> np.ndarray:
+    """The read-only weights (theta, .., 1 - theta, ..) of (q', p') in the midpoint."""
+    import numpy as np
+
+    weights = np.array([theta] * n + [1.0 - theta] * n)
+    weights.flags.writeable = False
+    return weights
+
+
 def cotangent_theta_step(
     f1: SplitField,
     f2: SplitField,
@@ -228,7 +239,7 @@ def cotangent_theta_step(
     # the fixed halves of the midpoints, (1 - theta) q and theta p, and the
     # weights of the unknown (q', p') in them
     fixed = np.concatenate([(1.0 - theta) * q, theta * p])
-    weights = np.array([theta] * n + [1.0 - theta] * n)
+    weights = _theta_weights(theta, n)
 
     def residual(flat: np.ndarray) -> np.ndarray:
         mid = fixed + weights * flat

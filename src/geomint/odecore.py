@@ -21,6 +21,7 @@ the direct form is explicit for separable systems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -90,17 +91,23 @@ class PartitionedTableau:
     def __post_init__(self):
         import numpy as np
 
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        ah = np.atleast_2d(np.asarray(self.a_hat, dtype=float))
-        bh = np.atleast_1d(np.asarray(self.b_hat, dtype=float))
+        a = np.atleast_2d(np.array(self.a, dtype=float))
+        b = np.atleast_1d(np.array(self.b, dtype=float))
+        ah = np.atleast_2d(np.array(self.a_hat, dtype=float))
+        bh = np.atleast_1d(np.array(self.b_hat, dtype=float))
         s = len(b)
         if a.shape != (s, s) or ah.shape != (s, s) or bh.shape != (s,):
             raise ValueError("inconsistent partitioned tableau dimensions")
+        # column j of a and of a_hat, shaped (2, s, 1) against prk_step's slopes
+        # (m, 2, 1, n); all arrays are read-only copies, so the columns stay true
+        columns = tuple(np.array([a[:, j], ah[:, j]])[:, :, None] for j in range(s))
+        for arr in (a, b, ah, bh, *columns):
+            arr.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a_hat", ah)
         object.__setattr__(self, "b_hat", bh)
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def stages(self) -> int:
@@ -161,9 +168,16 @@ def newton_solve(
     """Root of residual(x) = 0 by Newton with a central-difference Jacobian.
 
     The residual maps an (m, n) stack of points, one point per row, to the
-    (m, n) stack of their residuals.  Each iteration calls it twice: on x[None]
-    for the convergence test, and on the 2n rows x + h e_1 .. x + h e_n,
-    x - h e_1 .. x - h e_n for the whole Jacobian.
+    (m, n) stack of their residuals.  Each iteration calls it once, on the
+    2n + 1 rows x, x + h e_1 .. x + h e_n, x - h e_1 .. x - h e_n: row 0 gives
+    the convergence test and the other 2n the whole Jacobian.  A solve that
+    converges after k updates makes k + 1 calls; one that does not makes a
+    last single-row call at its final iterate for the reported residual.
+
+    The difference points of the accepted iterate are evaluated too and their
+    values discarded, so a residual that raises within FD_STEP of its root
+    fails a solve that would converge there; geometry.triv_discretize_inverse,
+    whose residual raises OutOfChart at the edge of the chart, is one.
 
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
@@ -173,19 +187,15 @@ def newton_solve(
 
     x = np.array(x0, dtype=float)
     n = x.size
-    h = FD_STEP
+    offsets = _newton_offsets(n)
     tol = NEWTON_TOL
-    # rows x + h e_i, then x - h e_i; the -0.0 off the diagonal of -hI keeps
-    # each point bitwise equal to x - h e_i, signed zeros included
-    shift = h * np.eye(n)
-    shifts = np.concatenate([shift, -shift])
-    r = np.asarray(residual(x[None]), dtype=float)[0]
     for _ in range(NEWTON_MAX_ITER):
+        vals = np.asarray(residual(x + offsets), dtype=float)
+        r = vals[0]
         # false for a nan entry, as the inf-norm test would be
         if all(abs(v) <= tol for v in r.tolist()):
             return x
-        vals = np.asarray(residual(x + shifts), dtype=float)
-        jac = ((vals[:n] - vals[n:]) / (2.0 * h)).T
+        jac = ((vals[1:n + 1] - vals[n + 1:]) / (2.0 * FD_STEP)).T
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
@@ -193,10 +203,26 @@ def newton_solve(
         if not all(map(math.isfinite, step.tolist())):
             raise SingularJacobian("non-finite Newton step")
         x = x - step
-        r = np.asarray(residual(x[None]), dtype=float)[0]
+    r = np.asarray(residual(x[None]), dtype=float)[0]
     if all(abs(v) <= tol for v in r.tolist()):
         return x
     raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(r))))
+
+
+@functools.lru_cache(maxsize=32)
+def _newton_offsets(n: int) -> np.ndarray:
+    """The read-only (2n + 1, n) rows [-0.0; hI; -hI] that newton_solve adds to x.
+
+    Row 0 is -0.0, which leaves every entry of x bitwise as it is, -0.0
+    included (+0.0 would turn it into +0.0); the -0.0 off the diagonal of -hI
+    keeps each point bitwise equal to x - h e_i.  Built once per n.
+    """
+    import numpy as np
+
+    shift = FD_STEP * np.eye(n)
+    offsets = np.concatenate([np.full((1, n), -0.0), shift, -shift])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _values(values, stack: np.ndarray) -> np.ndarray:
@@ -366,8 +392,6 @@ def prk_step(
     s = ptab.stages
     n = q.size
     sn = s * n
-    # column j of a and of a_hat, shaped (2, s, 1) against slopes (m, 2, 1, n)
-    coeffs = [np.array([ptab.a[:, j], ptab.a_hat[:, j]])[:, :, None] for j in range(s)]
     origin = np.array([q, p])[:, None]
 
     def residual(flat: np.ndarray) -> np.ndarray:
@@ -378,7 +402,7 @@ def prk_step(
         # agree bit for bit when every product is exact (coefficients such as 0,
         # 1/2 and 1, slopes not subnormal) and there are at most three stages.
         acc = 0.0
-        for j, c in enumerate(coeffs):
+        for j, c in enumerate(ptab._columns):
             acc = acc + c * slopes[:, :, None, j]
         points = origin + h * acc
         qs, ps = points[:, 0], points[:, 1]
