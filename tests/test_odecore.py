@@ -19,6 +19,7 @@ from geomint.mechanics import (
     KeplerParams,
     PendulumParams,
     kepler_split_fields,
+    kepler_vectorfield,
     pendulum_embedded_vf,
 )
 from geomint.odecore import (
@@ -97,16 +98,6 @@ def _newton_two_calls(residual, x0):
     raise NoConvergence(ode.NEWTON_MAX_ITER, float(np.max(np.abs(r))))
 
 
-def _stock_kepler_stormer_verlet(monkeypatch, recording):
-    """One stock Kepler Stormer-Verlet step with newton_solve wrapped by recording."""
-    solve = ode.newton_solve
-    monkeypatch.setattr(ode, "newton_solve", lambda residual, x0: recording(solve, residual, x0))
-    config = bench.default_config("kepler", "stormer_verlet")
-    x0 = np.asarray(config.params["x0"], dtype=float)
-    f1, f2 = kepler_split_fields(KeplerParams(mu=config.params["mu"]))
-    prk_step(ode.stormer_verlet_tableau(), f1, f2, x0[:2], x0[2:], config.dt)
-
-
 class TestNewton:
     def test_affine_one_iteration(self):
         calls = []
@@ -138,8 +129,9 @@ class TestNewton:
         # residual k + 1 times, each on the 2n + 1 rows x, x + [hI; -hI], where
         # x runs through the iterates of the two-call loop bit for bit
         calls, iterates = [], []
+        solve = ode.newton_solve
 
-        def recording(solve, residual, x0):
+        def recording(residual, x0):
             def recorded(stack):
                 calls.append(np.array(stack))
                 return residual(stack)
@@ -152,7 +144,12 @@ class TestNewton:
             _newton_two_calls(reference, x0)
             return solve(recorded, x0)
 
-        _stock_kepler_stormer_verlet(monkeypatch, recording)
+        monkeypatch.setattr(ode, "newton_solve", recording)
+        config = bench.default_config("kepler", "stormer_verlet")
+        x0 = np.asarray(config.params["x0"], dtype=float)
+        f1, f2 = kepler_split_fields(KeplerParams(mu=config.params["mu"]))
+        prk_step(ode.stormer_verlet_tableau(), f1, f2, x0[:2], x0[2:], config.dt)
+
         n = 8  # two stages of k and of l in the plane
         shifts = np.concatenate([ode.FD_STEP * np.eye(n), -ode.FD_STEP * np.eye(n)])
         updates = len(iterates) - 1
@@ -254,6 +251,19 @@ class TestNewtonOracle:
     def test_kepler_symplectic_euler_b(self, q, p, dt):
         assume(np.hypot(*q) >= 0.3)
         _solved_alike(lambda: symplectic_euler_b_step(*_kepler_fields, q, p, dt))
+
+    def test_kepler_implicit_euler_fails_alike(self):
+        # the stock run's known failure: steps 1..132 converge, step 133 raises
+        # NoConvergence with the two-call loop's message, residual norm included
+        f = kepler_vectorfield(KeplerParams(mu=1.0))
+        states = [np.array([1.0, 0.0, 0.0, 0.5])]
+
+        def run():
+            while True:
+                states.append(implicit_euler_step(f, states[-1], 0.01))
+
+        _solved_alike(run)
+        assert len(states) == 133
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(_coord, _coord, _coord).map(np.array), st.floats(1e-3, 0.2))
