@@ -342,7 +342,10 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
     return step
 
 
-def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+# A setup returns (initial state, step, row): step maps a state to the next one
+# and row maps a state to the record's value columns.
+
+def _setup_harmonic(config: ScenarioConfig):
     import numpy as np
 
     p = config.params
@@ -351,14 +354,11 @@ def _iter_harmonic(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     f1, f2 = mech.ho_split_fields(hp)
     energy = mech.ho_energy(hp)
     step = _flat_stepper(config, f, f1, f2)
-    cols = _COLUMNS["harmonic"]
     x = np.array([p["q0"], p["v0"]], dtype=float)
-    for k in range(1, config.steps + 1):
-        x = step(x)
-        yield TrajectoryRecord(k, k * config.dt, (x[0], x[1], energy(x[0], x[1])), cols)
+    return x, step, lambda x: (x[0], x[1], energy(x[0], x[1]))
 
 
-def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+def _setup_kepler(config: ScenarioConfig):
     import numpy as np
 
     p = config.params
@@ -368,37 +368,27 @@ def _iter_kepler(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     energy = mech.kepler_energy(kp)
     angmom = mech.kepler_angmom(kp)
     step = _flat_stepper(config, f, f1, f2)
-    cols = _COLUMNS["kepler"]
     x = np.asarray(p["x0"], dtype=float)
-    for k in range(1, config.steps + 1):
-        x = step(x)
-        yield TrajectoryRecord(
-            k, k * config.dt, (x[0], x[1], x[2], x[3], energy(x), angmom(x)), cols
-        )
+    return x, step, lambda x: (x[0], x[1], x[2], x[3], energy(x), angmom(x))
 
 
-def _iter_pendulum(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+def _setup_pendulum(config: ScenarioConfig):
     import numpy as np
 
     p = config.params
     pp = mech.PendulumParams(ml2=p["ml2"], mgl=p["mgl"])
     f = mech.pendulum_embedded_vf(pp)
     energy = mech.pendulum_embedded_energy(pp)
-    project = bool(p["project"])
     step = _flat_stepper(config, f, None, None)
-    cols = _COLUMNS["pendulum_embedded"]
-    theta0, p0 = p["theta0"], p["p0"]
-    x = np.array([math.cos(theta0), math.sin(theta0), p0])
-    for k in range(1, config.steps + 1):
-        x = step(x)
-        if project:
-            x = np.array(mech.project_to_cylinder(x[0], x[1], x[2]))
-        yield TrajectoryRecord(
-            k,
-            k * config.dt,
-            (x[0], x[1], x[2], energy(x), mech.cylinder_defect(x[0], x[1])),
-            cols,
-        )
+    if p["project"]:
+        free = step
+        step = lambda x: np.array(mech.project_to_cylinder(*free(x)))
+
+    def row(x):
+        return (x[0], x[1], x[2], energy(x), mech.cylinder_defect(x[0], x[1]))
+
+    theta0 = p["theta0"]
+    return np.array([math.cos(theta0), math.sin(theta0), p["p0"]]), step, row
 
 
 def _inertia_from(p: dict):
@@ -414,61 +404,50 @@ def _rot_row(r: Rotation) -> tuple[float, ...]:
     )
 
 
-def _iter_rigidbody(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+def _setup_rigidbody(config: ScenarioConfig):
     p = config.params
     params = mech.RigidBodyParams(_inertia_from(p))
     energy = mech.rigidbody_energy(params)
-    cols = _COLUMNS["rigidbody"]
     name = config.integrator
     dt = config.dt
-    pi0: Vec3 = tuple(p["Pi0"])  # type: ignore[assignment]
     r = Rotation.identity()
+    pi: Vec3 = tuple(p["Pi0"])  # type: ignore[assignment]
+    body_of = lambda r, pi: pi
 
     if name in ("lp_exp", "lp_cayley"):
         ret = exp_retraction() if name == "lp_exp" else cayley_retraction()
-
-        def step(r, pi):
-            return gi.lie_poisson_left_step(params, ret, r, pi, dt)
-
-        pi = pi0
-        body_of = lambda r, pi: pi
+        step = lambda s: gi.lie_poisson_left_step(params, ret, s[0], s[1], dt)
     elif name == "lp_exp_right":
         ret = exp_retraction()
-
-        def step(r, pi):
-            return gi.lie_poisson_right_step(params, ret, r, pi, dt)
-
-        pi = r.apply(pi0)  # spatial momentum carried by the right-lift scheme
+        step = lambda s: gi.lie_poisson_right_step(params, ret, s[0], s[1], dt)
+        pi = r.apply(pi)  # spatial momentum carried by the right-lift scheme
         body_of = lambda r, pi: r.apply_transpose(pi)
     else:
         stepper = gi.quat_rk4_step if name == "quat_rk4" else gi.rkmk4_step
 
-        def step(r, pi):
-            out = stepper(params, gi.RigidBodyState(R=r, Pi=pi), dt)
+        def step(s):
+            out = stepper(params, gi.RigidBodyState(R=s[0], Pi=s[1]), dt)
             return out.R, out.Pi
 
-        pi = pi0
-        body_of = lambda r, pi: pi
+    def row(s):
+        body = body_of(*s)
+        return _rot_row(s[0]) + body + (energy(body), mech.rigidbody_casimir(body))
 
-    for k in range(1, config.steps + 1):
-        r, pi = step(r, pi)
-        body = body_of(r, pi)
-        yield TrajectoryRecord(
-            k,
-            k * dt,
-            _rot_row(r) + body + (energy(body), mech.rigidbody_casimir(body)),
-            cols,
-        )
+    return (r, pi), step, row
 
 
-def _iter_heavytop(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+def _setup_heavytop(config: ScenarioConfig):
     p = config.params
     params = mech.HeavyTopParams(
         inertia=_inertia_from(p), m=p["m"], g=p["g"], chi=tuple(p["chi"])
     )
     energy = mech.heavytop_energy(params)
-    cols = _COLUMNS["heavytop"]
-    name = config.integrator
+    stepper = {
+        "lp_exp": gi.heavytop_exp_step,
+        "lp_cayley": gi.heavytop_cay_step,
+        "quat_rk4": gi.quat_rk4_step,
+        "rkmk4": gi.rkmk4_step,
+    }[config.integrator]
     dt = config.dt
     state = gi.HeavyTopState(
         R=Rotation.identity(),
@@ -476,34 +455,17 @@ def _iter_heavytop(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
         Pi=tuple(p["Pi0"]),  # type: ignore[arg-type]
         Gamma=tuple(p["Gamma0"]),  # type: ignore[arg-type]
     )
-    if name == "lp_exp":
-        step = lambda s: gi.heavytop_exp_step(params, s, dt)
-    elif name == "lp_cayley":
-        step = lambda s: gi.heavytop_cay_step(params, s, dt)
-    elif name == "quat_rk4":
-        step = lambda s: gi.quat_rk4_step(params, s, dt)
-    else:
-        step = lambda s: gi.rkmk4_step(params, s, dt)
 
-    for k in range(1, config.steps + 1):
-        state = step(state)
-        pg, g2 = mech.heavytop_casimirs(state.Pi, state.Gamma)
-        yield TrajectoryRecord(
-            k,
-            k * dt,
-            _rot_row(state.R)
-            + state.x
-            + state.Pi
-            + state.Gamma
-            + (energy(state.Pi, state.Gamma), pg, g2),
-            cols,
-        )
+    def row(s):
+        pg, g2 = mech.heavytop_casimirs(s.Pi, s.Gamma)
+        return _rot_row(s.R) + s.x + s.Pi + s.Gamma + (energy(s.Pi, s.Gamma), pg, g2)
+
+    return state, lambda s: stepper(params, s, dt), row
 
 
-def _iter_quadrotor(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
+def _setup_quadrotor(config: ScenarioConfig):
     p = config.params
     params = mech.QuadrotorParams(inertia=_inertia_from(p), m=p["m"], g=p["g"])
-    cols = _COLUMNS["quadrotor_hover"]
     dt = config.dt
     thrust = p["F"] if p["F"] is not None else params.m * params.g
     u = gi.QuadrotorInput(M=tuple(p["M"]), F=float(thrust))  # type: ignore[arg-type]
@@ -514,43 +476,40 @@ def _iter_quadrotor(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
         q=tuple(p["q0"]),  # type: ignore[arg-type]
         p=tuple(p["p0"]),  # type: ignore[arg-type]
     )
-    for k in range(1, config.steps + 1):
-        state = gi.quadrotor_step(params, state, u, dt, tag=tag)
-        yield TrajectoryRecord(
-            k,
-            k * dt,
-            _rot_row(state.R)
-            + state.Pi
-            + state.q
-            + state.p
-            + (mech.rigidbody_casimir(state.Pi),),
-            cols,
-        )
+
+    def row(s):
+        return _rot_row(s.R) + s.Pi + s.q + s.p + (mech.rigidbody_casimir(s.Pi),)
+
+    return state, lambda s: gi.quadrotor_step(params, s, u, dt, tag=tag), row
 
 
-_RUNNERS = {
-    "harmonic": _iter_harmonic,
-    "kepler": _iter_kepler,
-    "pendulum_embedded": _iter_pendulum,
-    "rigidbody": _iter_rigidbody,
-    "heavytop": _iter_heavytop,
-    "quadrotor_hover": _iter_quadrotor,
+_SETUPS = {
+    "harmonic": _setup_harmonic,
+    "kepler": _setup_kepler,
+    "pendulum_embedded": _setup_pendulum,
+    "rigidbody": _setup_rigidbody,
+    "heavytop": _setup_heavytop,
+    "quadrotor_hover": _setup_quadrotor,
 }
 
 
 def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
-    """Lazily yield the ``steps`` records of a run; wraps step failures."""
-    iterator = _RUNNERS[config.scenario](config)
-    k = 1
-    while True:
+    """Lazily yield the ``steps`` records of a run.
+
+    The scenario's setup runs before the first step, and its errors propagate
+    as they are; a GeomintError raised by step k or its record is wrapped as
+    IntegratorFailure(k).
+    """
+    state, step, row = _SETUPS[config.scenario](config)
+    cols = _COLUMNS[config.scenario]
+    dt = config.dt
+    for k in range(1, config.steps + 1):
         try:
-            record = next(iterator)
-        except StopIteration:
-            return
+            state = step(state)
+            values = row(state)
         except GeomintError as exc:
             raise IntegratorFailure(k, exc) from exc
-        yield record
-        k = record.step + 1
+        yield TrajectoryRecord(k, k * dt, values, cols)
 
 
 def run_scenario(config: ScenarioConfig) -> list[TrajectoryRecord]:

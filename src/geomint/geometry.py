@@ -17,6 +17,9 @@ retraction first-order tangent (cay_so3 itself rotates by 2*atan|v|, so the
 unscaled map would double every velocity at the origin and the induced
 integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
 
+Both discretization maps invert in closed form, the trivialized one because
+its two legs turn about the same axis xi.
+
 The module also houses the local-coordinate second-order maps: the canonical
 flip (q, qdot, dq, dqdot) -> (q, dq, qdot, dqdot) on TTQ and the bundle
 isomorphisms alpha: TT*Q -> T*TQ and beta: TT*Q -> T*T*Q, whose coordinate
@@ -25,11 +28,12 @@ forms are pure (signed) permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import odecore, so3
-from .errors import DimMismatch, GeomintError, NoConvergence, OutOfChart, SingularJacobian
+from . import so3
+from .errors import DimMismatch, GeomintError, OutOfChart
 from .so3 import Mat3, Rotation, Vec3
 
 EXP_TAG = "exp"
@@ -143,36 +147,22 @@ def triv_discretize(
 def triv_discretize_inverse(
     g1: Rotation, g2: Rotation, s: float, ret: TrivializedRetraction
 ) -> tuple[Rotation, Vec3]:
-    """Recover (g, xi) from the pair (g tau(-s xi), g tau((1-s) xi)).
+    """Recover (g, xi) from the pair (g tau(-s xi), g tau((1-s) xi)), in closed form.
 
-    For s = 0 this is tau_inv of the relative rotation; otherwise xi solves
-    tau((1-s) xi) = tau(-s xi) M with M = g1^-1 g2, by odecore.newton_solve on
-    the residual tau_inv(tau(-s xi) M) - (1-s) xi.  Raises OutOfChart when the
-    relative rotation leaves the injectivity domain or the iteration stalls.
+    M = g1^-1 g2 = tau(s xi) tau((1-s) xi) turns about xi; v = tau_inv(M).  For
+    exp, xi = v.  For Cayley (tau(y) turns by 2 atan(|y|/2)) the half-angle
+    tangents give |v| = |xi| / (1 - s(1-s)|xi|^2/4), whose root with
+    s(1-s)|xi|^2 < 4 is xi = 2 v / (1 + sqrt(1 + s(1-s)|v|^2)).  Raises
+    OutOfChart when M leaves the injectivity domain of tau_inv.
     """
     m_rel = Rotation(so3.mat_mul(so3.mat_transpose(g1.m), g2.m))
     try:
         xi = ret.tau_inv(m_rel)
     except GeomintError as exc:
         raise OutOfChart(str(exc)) from exc
-    if s == 0.0:
-        return g1, xi
-
-    def point_residual(x: Vec3) -> Vec3:
-        head = ret.tau(so3.vec_scale(x, -s))
-        try:
-            y = ret.tau_inv(Rotation(so3.mat_mul(head.m, m_rel.m)))
-        except GeomintError as exc:
-            raise OutOfChart(str(exc)) from exc
-        return so3.vec_sub(y, so3.vec_scale(x, 1.0 - s))
-
-    def residual(stack) -> list[Vec3]:
-        return [point_residual(tuple(row)) for row in stack.tolist()]
-
-    try:
-        xi = tuple(odecore.newton_solve(residual, xi).tolist())
-    except (NoConvergence, SingularJacobian) as exc:
-        raise OutOfChart(f"discretization inverse: {exc}") from exc
+    if ret.tag == CAYLEY_TAG:
+        root = math.sqrt(1.0 + s * (1.0 - s) * so3.dot(xi, xi))
+        xi = so3.vec_scale(xi, 2.0 / (1.0 + root))
     # g = D1 tau(-s xi)^-1, and tau(-v)^-1 = tau(v) for these retractions
     g = g1.multiply(ret.tau(so3.vec_scale(xi, s)))
     return g, xi

@@ -2,7 +2,7 @@
 
 Flat side
 ---------
-``implicit_disc_step`` is the one-parameter family
+``implicit_disc_step`` (defined in odecore) is the one-parameter family
 
     x' = x + h f((1-theta) x + theta x'),
 
@@ -14,8 +14,9 @@ lift on (q, p),
     p' = p + h f2((1-theta) q + theta q', theta p + (1-theta) p'),
 
 a symplectic map for every theta; the opposite weighting of q and p comes
-from the twisted product structure of the lift.  Its endpoints are the
-symplectic Euler A/B schemes and are delegated to them verbatim.
+from the twisted product structure of the lift.  Both share odecore's solve
+of x' = x + h g(c + w x').  The lift's endpoints are the symplectic Euler
+A/B schemes and are delegated to them verbatim.
 
 Lie-Poisson side
 ----------------
@@ -75,8 +76,9 @@ from .odecore import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     SplitField,
-    VectorField,
     _row_values,
+    _theta_solve,
+    implicit_disc_step,
     newton_solve,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
@@ -183,29 +185,6 @@ class QuadrotorInput:
 
 # --- flat discretization-map integrators --------------------------------------------
 
-def implicit_disc_step(
-    f: VectorField,
-    x: np.ndarray,
-    h: float,
-    theta: float,
-) -> np.ndarray:
-    """One step of x' = x + h f((1-theta) x + theta x')."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if theta == 0.0:
-        # the relation is explicit; this is exactly the forward Euler update
-        return x + h * np.asarray(f(x), dtype=float)
-
-    cx = (1.0 - theta) * x
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        mid = cx + theta * y
-        return y - x - h * _row_values(f(mid), mid)
-
-    return newton_solve(residual, x)
-
-
 @functools.lru_cache(maxsize=64)
 def _theta_weights(theta: float, n: int) -> np.ndarray:
     """The read-only weights (theta, .., 1 - theta, ..) of (q', p') in the midpoint."""
@@ -235,21 +214,17 @@ def cotangent_theta_step(
         return symplectic_euler_b_step(f1, f2, q, p, h)
 
     n = q.size
-    qp = np.concatenate([q, p])
-    # the fixed halves of the midpoints, (1 - theta) q and theta p, and the
-    # weights of the unknown (q', p') in them
-    fixed = np.concatenate([(1.0 - theta) * q, theta * p])
-    weights = _theta_weights(theta, n)
 
-    def residual(flat: np.ndarray) -> np.ndarray:
-        mid = fixed + weights * flat
+    def g(mid: np.ndarray) -> np.ndarray:
         qm, pm = mid[:, :n], mid[:, n:]
-        g = np.empty_like(flat)
-        g[:, :n] = _row_values(f1(qm, pm), qm)
-        g[:, n:] = _row_values(f2(qm, pm), pm)
-        return flat - qp - h * g
+        out = np.empty_like(mid)
+        out[:, :n] = _row_values(f1(qm, pm), qm)
+        out[:, n:] = _row_values(f2(qm, pm), pm)
+        return out
 
-    sol = newton_solve(residual, qp)
+    # the midpoint is fixed + weights * (q', p'), fixed = ((1 - theta) q, theta p)
+    fixed = np.concatenate([(1.0 - theta) * q, theta * p])
+    sol = _theta_solve(g, np.concatenate([q, p]), h, fixed, _theta_weights(theta, n))
     return sol[:n], sol[n:]
 
 

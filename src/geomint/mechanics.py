@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import so3
-from .errors import DegenerateProjection, SingularOrigin
+from .errors import DegenerateProjection, SingularMatrix, SingularOrigin
 from .so3 import Mat3, Vec3
 
 
@@ -260,7 +260,10 @@ def _validated_inertia(inertia) -> tuple[Mat3, Mat3]:
     d3 = so3.mat_det(mat)
     if d1 <= 0.0 or d2 <= 0.0 or d3 <= 0.0:
         raise ValueError("inertia matrix is not positive definite")
-    return mat, so3.mat_inv(mat)
+    try:
+        return mat, so3.mat_inv(mat)
+    except SingularMatrix as exc:
+        raise ValueError(f"inertia matrix {mat} cannot be inverted: {exc}") from exc
 
 
 @dataclass(frozen=True)

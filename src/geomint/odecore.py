@@ -14,9 +14,9 @@ and reproduce the familiar update matrices:
     symplectic B     [[1, h], [-h k/m, 1 - h^2 k/m]]  det = 1
 
 The symplectic variants satisfy S^T J S = J with J = [[0, 1], [-1, 0]].
-Implicit stage systems are solved as one stacked Newton system rather than
-stage-by-stage sweeps; symplectic Euler A/B are implemented directly because
-the direct form is explicit for separable systems.
+Explicit and implicit Euler are the theta map at theta = 0 and 1, and
+symplectic Euler B is variant A with q and p swapped.  Implicit stage systems
+are solved as one stacked Newton system rather than stage-by-stage sweeps.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ def newton_solve(
 
     The difference points of the accepted iterate are evaluated too and their
     values discarded, so a residual that raises within FD_STEP of its root
-    fails a solve that would converge there; geometry.triv_discretize_inverse,
-    whose residual raises OutOfChart at the edge of the chart, is one.
+    fails a solve that would converge there.
 
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
@@ -258,30 +257,44 @@ def _row_values(values, stack: np.ndarray) -> np.ndarray:
     return values
 
 
-# --- Euler family ---------------------------------------------------------------
+# --- the theta map and the Euler family ------------------------------------------
 
-def explicit_euler_step(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
-    """x + h f(x)."""
-    import numpy as np
+def _theta_solve(g, x: np.ndarray, h: float, c, w) -> np.ndarray:
+    """Root x' of x' = x + h g(c + w x') by Newton from x; g gives one row per point.
 
-    x = np.asarray(x, dtype=float)
-    return x + h * np.asarray(f(x), dtype=float)
-
-
-def implicit_euler_step(
-    f: VectorField,
-    x: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Solve x' = x + h f(x') by Newton from the initial guess x."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
+    Shared by the theta map and its cotangent lift, integrators.cotangent_theta_step.
+    """
 
     def residual(y: np.ndarray) -> np.ndarray:
-        return y - x - h * _row_values(f(y), y)
+        return y - x - h * g(c + w * y)
 
     return newton_solve(residual, x)
+
+
+def implicit_disc_step(f: VectorField, x: np.ndarray, h: float, theta: float) -> np.ndarray:
+    """One step of x' = x + h f((1-theta) x + theta x'), Newton from the guess x.
+
+    Explicit Euler (x + h f(x), no solve) at theta = 0, implicit Euler at 1,
+    the implicit midpoint rule at 1/2.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if theta == 0.0:
+        return x + h * np.asarray(f(x), dtype=float)
+    return _theta_solve(
+        lambda mid: _row_values(f(mid), mid), x, h, (1.0 - theta) * x, theta
+    )
+
+
+def explicit_euler_step(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
+    """x + h f(x): the theta map at theta = 0."""
+    return implicit_disc_step(f, x, h, 0.0)
+
+
+def implicit_euler_step(f: VectorField, x: np.ndarray, h: float) -> np.ndarray:
+    """Solve x' = x + h f(x') by Newton from x: the theta map at theta = 1."""
+    return implicit_disc_step(f, x, h, 1.0)
 
 
 def symplectic_euler_a_step(
@@ -309,6 +322,10 @@ def symplectic_euler_a_step(
     return q_new, v_new
 
 
+# B's route to A, which a wrapper installed on the public name does not see
+_symplectic_euler_a = symplectic_euler_a_step
+
+
 def symplectic_euler_b_step(
     f1: SplitField,
     f2: SplitField,
@@ -316,18 +333,10 @@ def symplectic_euler_b_step(
     v: np.ndarray,
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """q' = q + h f1(q', v), v' = v + h f2(q', v); mirror image of variant A."""
-    import numpy as np
-
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-
-    def residual(w: np.ndarray) -> np.ndarray:
-        return w - q - h * _values(f1(w, v), w)
-
-    q_new = newton_solve(residual, q)
-    v_new = v + h * np.asarray(f2(q_new, v), dtype=float)
-    return q_new, v_new
+    """q' = q + h f1(q', v), v' = v + h f2(q', v): A with (q, f1), (v, f2) swapped."""
+    return _symplectic_euler_a(
+        lambda v, q: f2(q, v), lambda v, q: f1(q, v), v, q, h
+    )[::-1]
 
 
 # --- Runge-Kutta -----------------------------------------------------------------

@@ -547,6 +547,21 @@ class TestCli:
         assert "integrator failed at step" in err and cause in err
         assert not out.exists()
 
+    def test_singular_inertia_is_a_config_error(self, tmp_path, capsys):
+        # the inertia is checked before any step runs: exit 1, not a step failure
+        out = tmp_path / "x.csv"
+        code = cli.main(
+            [
+                "run", "--scenario", "rigidbody", "--integrator", "lp_exp",
+                "--steps", "3", "--param", "I1=1e-5", "--param", "I2=1e-5",
+                "--param", "I3=1e-5", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "inertia matrix" in err and "integrator failed" not in err
+        assert not out.exists()
+
     def test_compare_to_file(self, tmp_path):
         out = tmp_path / "table.txt"
         code = cli.main(
@@ -698,3 +713,46 @@ class TestConformance:
         assert report["missing_from_reference"] == []
         # the two known defects, and no other
         assert report["failing"] == ["kepler.implicit_euler", "pendulum_embedded.explicit_euler"]
+
+
+class TestTracerContract:
+    def test_one_step_span_per_step(self):
+        # perfbench's layers count every span named in STEP_SPANS as one step, so
+        # a step function that calls another traced step function would count twice
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = textwrap.dedent(
+            """
+            import json, sys
+            sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+            from tracer import Tracer
+            from layers import STEP_SPANS
+
+            tracer = Tracer("contract")
+            tracer.install()
+            from geomint import bench
+
+            for scenario in bench.SCENARIOS:
+                for integrator in bench.COMPAT[scenario]:
+                    config = bench.default_config(scenario, integrator, steps=3)
+                    assert len(bench.run_scenario(config)) == 3
+            counts = {}
+            for span in tracer.spans:
+                if span[2] in STEP_SPANS:
+                    pair = ".".join(tracer.contexts[span[5]])
+                    counts[pair] = counts.get(pair, 0) + 1
+            print(json.dumps([".".join(c) for c in tracer.contexts]))
+            print(json.dumps(counts))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, root],
+            env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pairs_line, counts_line = proc.stdout.splitlines()
+        pairs = json.loads(pairs_line)
+        assert len(pairs) == 31
+        assert json.loads(counts_line) == {pair: 3 for pair in pairs}

@@ -236,6 +236,27 @@ class TestTrivDiscretize:
                         so3.mat_add(g2.m, so3.mat_scale(g.m, -1.0))
                     ) < 1e-10
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 1.0])
+    def test_inverse_closed_form(self, monkeypatch, s):
+        # both retractions invert without a solve, to roundoff
+        from geomint import odecore
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("triv_discretize_inverse ran a Newton solve")
+
+        monkeypatch.setattr(odecore, "newton_solve", no_solve)
+        rng = random.Random(28)
+        for ret in (exp_retraction(), cayley_retraction()):
+            for _ in range(20):
+                g = exp_so3(_rand_vec(rng))
+                xi = _rand_vec(rng, 0.5 / math.sqrt(3.0))
+                a, b = triv_discretize(g, xi, s, ret)
+                g2, xi2 = triv_discretize_inverse(a, b, s, ret)
+                assert max(abs(xi2[i] - xi[i]) for i in range(3)) <= 1e-14
+                assert max(
+                    abs(g2.m[i][j] - g.m[i][j]) for i in range(3) for j in range(3)
+                ) <= 1e-14
+
     def test_inverse_out_of_chart(self):
         # a pi relative rotation sits outside the exp chart
         g1 = Rotation.identity()
