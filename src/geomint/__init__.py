@@ -35,7 +35,6 @@ from .errors import (
     UnknownKey,
 )
 from .geometry import (
-    DiscretizationParams,
     FlatRetraction,
     LocalSecondOrderPoint,
     TrivializedRetraction,

@@ -32,8 +32,8 @@ from .errors import (
     UnknownColumn,
     UnknownKey,
 )
-from .geometry import CAYLEY_TAG, EXP_TAG, cayley_retraction, exp_retraction
-from .so3 import Rotation, Vec3
+from .geometry import cayley_retraction, exp_retraction
+from .so3 import Rotation, Vec3, norm
 
 FLAT_SCENARIOS = ("harmonic", "kepler", "pendulum_embedded")
 GROUP_SCENARIOS = ("rigidbody", "heavytop", "quadrotor_hover")
@@ -413,12 +413,11 @@ def _setup_rigidbody(config: ScenarioConfig):
     r = Rotation.identity()
     pi: Vec3 = tuple(p["Pi0"])  # type: ignore[assignment]
     body_of = lambda r, pi: pi
+    ret = cayley_retraction() if name == "lp_cayley" else exp_retraction()
 
     if name in ("lp_exp", "lp_cayley"):
-        ret = exp_retraction() if name == "lp_exp" else cayley_retraction()
         step = lambda s: gi.lie_poisson_left_step(params, ret, s[0], s[1], dt)
     elif name == "lp_exp_right":
-        ret = exp_retraction()
         step = lambda s: gi.lie_poisson_right_step(params, ret, s[0], s[1], dt)
         pi = r.apply(pi)  # spatial momentum carried by the right-lift scheme
         body_of = lambda r, pi: r.apply_transpose(pi)
@@ -449,11 +448,15 @@ def _setup_heavytop(config: ScenarioConfig):
         "rkmk4": gi.rkmk4_step,
     }[config.integrator]
     dt = config.dt
+    gamma0: Vec3 = tuple(p["Gamma0"])  # type: ignore[assignment]
+    # the Lie-Poisson steps need |Gamma| = 1; a run of any scheme checks it here
+    if abs(norm(gamma0) - 1.0) > 1e-9:
+        raise ValueError(f"Gamma0 = {gamma0} must have norm 1 to within 1e-9")
     state = gi.HeavyTopState(
         R=Rotation.identity(),
         x=(0.0, 0.0, 0.0),
         Pi=tuple(p["Pi0"]),  # type: ignore[arg-type]
-        Gamma=tuple(p["Gamma0"]),  # type: ignore[arg-type]
+        Gamma=gamma0,
     )
 
     def row(s):
@@ -469,7 +472,7 @@ def _setup_quadrotor(config: ScenarioConfig):
     dt = config.dt
     thrust = p["F"] if p["F"] is not None else params.m * params.g
     u = gi.QuadrotorInput(M=tuple(p["M"]), F=float(thrust))  # type: ignore[arg-type]
-    tag = EXP_TAG if config.integrator == "lp_exp" else CAYLEY_TAG
+    ret = cayley_retraction() if config.integrator == "lp_cayley" else exp_retraction()
     state = gi.QuadrotorState(
         R=Rotation.identity(),
         Pi=tuple(p["Pi0"]),  # type: ignore[arg-type]
@@ -480,7 +483,7 @@ def _setup_quadrotor(config: ScenarioConfig):
     def row(s):
         return _rot_row(s.R) + s.Pi + s.q + s.p + (mech.rigidbody_casimir(s.Pi),)
 
-    return state, lambda s: gi.quadrotor_step(params, s, u, dt, tag=tag), row
+    return state, lambda s: gi.quadrotor_step(params, s, u, dt, ret), row
 
 
 _SETUPS = {
@@ -497,8 +500,8 @@ def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     """Lazily yield the ``steps`` records of a run.
 
     The scenario's setup runs before the first step, and its errors propagate
-    as they are; a GeomintError raised by step k or its record is wrapped as
-    IntegratorFailure(k).
+    as they are; a GeomintError, ArithmeticError or ValueError raised by step
+    k or its record is wrapped as IntegratorFailure(k).
     """
     state, step, row = _SETUPS[config.scenario](config)
     cols = _COLUMNS[config.scenario]
@@ -507,7 +510,7 @@ def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
         try:
             state = step(state)
             values = row(state)
-        except GeomintError as exc:
+        except (GeomintError, ArithmeticError, ValueError) as exc:
             raise IntegratorFailure(k, exc) from exc
         yield TrajectoryRecord(k, k * dt, values, cols)
 

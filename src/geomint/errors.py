@@ -24,7 +24,7 @@ class SingularCayley(GeomintError):
 
 
 class SingularMatrix(GeomintError):
-    """3x3 solve with |det| below the 1e-14 guard."""
+    """3x3 solve with |det| below 1e-14, absolutely and relative to its row norms."""
 
 
 class NotRotation(GeomintError, ValueError):
@@ -90,7 +90,9 @@ class IntegratorFailure(GeomintError):
     def __init__(self, step: int, cause: Exception):
         self.step = step
         self.cause = cause
-        super().__init__(f"integrator failed at step {step}: {cause}")
+        # a cause from outside the library is named by its type
+        name = "" if isinstance(cause, GeomintError) else f"{type(cause).__name__}: "
+        super().__init__(f"integrator failed at step {step}: {name}{cause}")
 
 
 class UnknownColumn(GeomintError):

@@ -11,11 +11,14 @@ diffeomorphism tau from the algebra to the group,
 
     D^L(g, xi) = (g tau(-s xi), g tau((1-s) xi)),    s in [0, 1].
 
-Two tau's are provided: the matrix exponential, and the scaled Cayley
-transform tau(xi) = cay_so3(xi/2).  The half argument makes the Cayley
-retraction first-order tangent (cay_so3 itself rotates by 2*atan|v|, so the
-unscaled map would double every velocity at the origin and the induced
-integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
+A TrivializedRetraction is one of two values, named by its tag: the matrix
+exponential ("exp") or the scaled Cayley transform tau(xi) = cay_so3(xi/2)
+("cayley"); any other tag raises ValueError.  tau, tau_inv and the dual
+matrix are its methods.  The Lie-Poisson and quadrotor steps take one of the
+two values, and the two heavy-top steps bind one each.  The half argument
+makes the Cayley retraction first-order tangent (cay_so3 itself rotates by
+2*atan|v|, so the unscaled map would double every velocity at the origin and
+the induced integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
 
 Both discretization maps invert in closed form, the trivialized one because
 its two legs turn about the same axis xi.
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import so3
 from .errors import DimMismatch, GeomintError, OutOfChart
@@ -60,16 +62,29 @@ class FlatRetraction:
 
 @dataclass(frozen=True)
 class TrivializedRetraction:
-    """Local diffeomorphism tau: R^3 -> SO(3) with its inverse and a tag.
+    """Local diffeomorphism tau: R^3 -> SO(3), named by its tag.
 
-    tau(0) = I and tau is first-order tangent, so left translation
-    R^L(g, xi) = g tau(xi) is a left-trivialized retraction.  ``tag`` selects
-    the matching dual logarithmic-derivative matrix for the momentum relations.
+    ``tag`` is ``"exp"`` for the matrix exponential or ``"cayley"`` for the
+    scaled Cayley transform; any other tag raises ValueError.  tau(0) = I and
+    tau is first-order tangent, so left translation R^L(g, xi) = g tau(xi) is
+    a left-trivialized retraction.
     """
 
-    tau: Callable[[Vec3], Rotation]
-    tau_inv: Callable[[Rotation], Vec3]
     tag: str
+
+    def __post_init__(self):
+        if self.tag not in (EXP_TAG, CAYLEY_TAG):
+            raise ValueError(f"retraction tag {self.tag!r} is neither 'exp' nor 'cayley'")
+
+    def tau(self, xi: Vec3) -> Rotation:
+        if self.tag == EXP_TAG:
+            return so3.exp_so3(xi)
+        return so3.cay_so3(so3.vec_scale(xi, 0.5))
+
+    def tau_inv(self, r: Rotation) -> Vec3:
+        if self.tag == EXP_TAG:
+            return so3.log_so3(r)
+        return so3.vec_scale(so3.cay_inv_so3(r), 2.0)
 
     def dual_matrix(self, xi: Vec3) -> Mat3:
         """Matrix of the dual of the left logarithmic derivative at xi."""
@@ -82,31 +97,11 @@ class TrivializedRetraction:
 
 
 def exp_retraction() -> TrivializedRetraction:
-    return TrivializedRetraction(tau=so3.exp_so3, tau_inv=so3.log_so3, tag=EXP_TAG)
+    return TrivializedRetraction(EXP_TAG)
 
 
 def cayley_retraction() -> TrivializedRetraction:
-    def tau(v: Vec3) -> Rotation:
-        return so3.cay_so3(so3.vec_scale(v, 0.5))
-
-    def tau_inv(r: Rotation) -> Vec3:
-        return so3.vec_scale(so3.cay_inv_so3(r), 2.0)
-
-    return TrivializedRetraction(tau=tau, tau_inv=tau_inv, tag=CAYLEY_TAG)
-
-
-@dataclass(frozen=True)
-class DiscretizationParams:
-    """Family parameters: theta for the flat family, s for the trivialized one."""
-
-    theta: float = 0.5
-    s: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta {self.theta} outside [0, 1]")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValueError(f"s {self.s} outside [0, 1]")
+    return TrivializedRetraction(CAYLEY_TAG)
 
 
 # --- flat discretization maps -------------------------------------------------
@@ -144,6 +139,17 @@ def triv_discretize(
     return first, second
 
 
+def _relative_chart(
+    g1: Rotation, g2: Rotation, ret: TrivializedRetraction
+) -> tuple[Mat3, Vec3]:
+    """The relative rotation w = g1^-1 g2 and tau_inv(w); OutOfChart off the chart."""
+    w = so3.mat_mul(so3.mat_transpose(g1.m), g2.m)
+    try:
+        return w, ret.tau_inv(Rotation(w))
+    except GeomintError as exc:
+        raise OutOfChart(str(exc)) from exc
+
+
 def triv_discretize_inverse(
     g1: Rotation, g2: Rotation, s: float, ret: TrivializedRetraction
 ) -> tuple[Rotation, Vec3]:
@@ -155,11 +161,7 @@ def triv_discretize_inverse(
     s(1-s)|xi|^2 < 4 is xi = 2 v / (1 + sqrt(1 + s(1-s)|v|^2)).  Raises
     OutOfChart when M leaves the injectivity domain of tau_inv.
     """
-    m_rel = Rotation(so3.mat_mul(so3.mat_transpose(g1.m), g2.m))
-    try:
-        xi = ret.tau_inv(m_rel)
-    except GeomintError as exc:
-        raise OutOfChart(str(exc)) from exc
+    _, xi = _relative_chart(g1, g2, ret)
     if ret.tag == CAYLEY_TAG:
         root = math.sqrt(1.0 + s * (1.0 - s) * so3.dot(xi, xi))
         xi = so3.vec_scale(xi, 2.0 / (1.0 + root))
@@ -181,11 +183,7 @@ def triv_disc_inverse_left(
     nu is the dual logarithmic-derivative transport of mu_{k+1}, and
     dmu = Ad*_{(g_k^-1 g_{k+1})^-1}(mu_{k+1}) - mu_k.
     """
-    w = so3.mat_mul(so3.mat_transpose(g_k.m), g_k1.m)
-    try:
-        xi = ret.tau_inv(Rotation(w))
-    except GeomintError as exc:
-        raise OutOfChart(str(exc)) from exc
+    w, xi = _relative_chart(g_k, g_k1, ret)
     nu = so3.mat_vec(ret.dual_matrix(xi), mu_k1)
     # Ad*_{W^-1}(mu') = (W^-1)^T mu' = W mu'
     dmu = so3.vec_sub(so3.mat_vec(w, mu_k1), mu_k)
@@ -204,11 +202,7 @@ def triv_disc_inverse_right(
     The momentum difference is plain mu_{k+1} - mu_k and the transported
     covector is the dual derivative applied to Ad*_{g_{k+1}}(mu_{k+1}).
     """
-    w = so3.mat_mul(so3.mat_transpose(g_k.m), g_k1.m)
-    try:
-        xi = ret.tau_inv(Rotation(w))
-    except GeomintError as exc:
-        raise OutOfChart(str(exc)) from exc
+    _, xi = _relative_chart(g_k, g_k1, ret)
     nu = so3.mat_vec(ret.dual_matrix(xi), g_k1.apply_transpose(mu_k1))
     dmu = so3.vec_sub(mu_k1, mu_k)
     return (g_k, nu), (xi, dmu)

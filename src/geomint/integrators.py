@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 from . import so3
 from .errors import NoConvergence, OutOfChart
-from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction
+from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction, exp_retraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
     NEWTON_MAX_ITER,
@@ -122,6 +122,15 @@ __all__ = [
 
 # --- state types -----------------------------------------------------------------
 
+def _check_vecs(state, names: tuple[str, ...]) -> None:
+    """Store each named field of a frozen state as a Vec3; reject non-finite entries."""
+    for name in names:
+        value = so3.as_vec3(getattr(state, name))
+        if not so3.vec_is_finite(value):
+            raise ValueError(f"{name} has non-finite entries")
+        object.__setattr__(state, name, value)
+
+
 @dataclass(frozen=True, slots=True)
 class RigidBodyState:
     """Attitude R and body angular momentum Pi (kg m^2/s)."""
@@ -130,14 +139,16 @@ class RigidBodyState:
     Pi: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "Pi", so3.as_vec3(self.Pi))
-        if not so3.vec_is_finite(self.Pi):
-            raise ValueError("Pi has non-finite entries")
+        _check_vecs(self, ("Pi",))
 
 
 @dataclass(frozen=True, slots=True)
 class HeavyTopState:
-    """Attitude R, auxiliary translation x, momentum Pi, advected vertical Gamma."""
+    """Attitude R, auxiliary translation x, momentum Pi, advected vertical Gamma.
+
+    Any finite |Gamma| is a state (the RK4 baselines let it drift); the
+    Lie-Poisson heavy-top steps check |Gamma| = 1 on the state they return.
+    """
 
     R: Rotation
     x: Vec3
@@ -145,13 +156,7 @@ class HeavyTopState:
     Gamma: Vec3
 
     def __post_init__(self):
-        for name in ("x", "Pi", "Gamma"):
-            object.__setattr__(self, name, so3.as_vec3(getattr(self, name)))
-            if not so3.vec_is_finite(getattr(self, name)):
-                raise ValueError(f"{name} has non-finite entries")
-        gn = norm(self.Gamma)
-        if abs(gn - 1.0) > 1e-9:
-            raise ValueError(f"|Gamma| = {gn!r} not within 1e-9 of 1")
+        _check_vecs(self, ("x", "Pi", "Gamma"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,10 +169,7 @@ class QuadrotorState:
     p: Vec3
 
     def __post_init__(self):
-        for name in ("Pi", "q", "p"):
-            object.__setattr__(self, name, so3.as_vec3(getattr(self, name)))
-            if not so3.vec_is_finite(getattr(self, name)):
-                raise ValueError(f"{name} has non-finite entries")
+        _check_vecs(self, ("Pi", "q", "p"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +180,9 @@ class QuadrotorInput:
     F: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "M", so3.as_vec3(self.M))
-        if not (so3.vec_is_finite(self.M) and math.isfinite(self.F)):
-            raise ValueError("quadrotor input has non-finite entries")
+        _check_vecs(self, ("M",))
+        if not math.isfinite(self.F):
+            raise ValueError("F is not finite")
 
 
 # --- flat discretization-map integrators --------------------------------------------
@@ -607,7 +609,12 @@ def _heavytop_step(
         _check_exp_chart(norm(y))
     r_new = so3.mat_mul(state.R.m, _tau_matrix(tag, y))
     x_new = vec_add(state.x, mat_vec(state.R.m, d))
-    return HeavyTopState(R=Rotation(r_new), x=x_new, Pi=pi_new, Gamma=gamma_new)
+    out = HeavyTopState(R=Rotation(r_new), x=x_new, Pi=pi_new, Gamma=gamma_new)
+    # the transports conserve |Gamma|, so this also checks the input's |Gamma| = 1
+    gn = norm(gamma_new)
+    if abs(gn - 1.0) > 1e-9:
+        raise ValueError(f"|Gamma| = {gn!r} not within 1e-9 of 1")
+    return out
 
 
 def heavytop_exp_step(
@@ -619,7 +626,8 @@ def heavytop_exp_step(
 
     Conserves Pi . Gamma and |Gamma|^2 exactly (orthogonal transports with a
     Gamma-orthogonal momentum shift); with chi = 0 it reduces to the free
-    rigid-body exponential step plus x' = x.
+    rigid-body exponential step plus x' = x.  Raises ValueError unless
+    |Gamma| = 1 to within 1e-9.
     """
     return _heavytop_step(params, state, dt, EXP_TAG)
 
@@ -629,7 +637,7 @@ def heavytop_cay_step(
     state: HeavyTopState,
     dt: float,
 ) -> HeavyTopState:
-    """Cayley-map heavy-top step; both Casimirs are conserved exactly."""
+    """Cayley-map heavy-top step; both Casimirs are conserved exactly, |Gamma| = 1."""
     return _heavytop_step(params, state, dt, CAYLEY_TAG)
 
 
@@ -640,15 +648,16 @@ def quadrotor_step(
     state: QuadrotorState,
     u: QuadrotorInput,
     dt: float,
-    tag: str = EXP_TAG,
+    ret: TrivializedRetraction = exp_retraction(),
 ) -> QuadrotorState:
     """Forced rigid-body rotation plus symplectic-Euler translation.
 
-    The rotational block is exactly the free left Lie-Poisson step (bitwise,
-    for M = 0) followed by the moment impulse Pi' += dt M.  The translation
-    uses p' = p + dt (-m g e3 + F R e3) and q' = q + dt p'/m.
+    The rotational block is exactly the free left Lie-Poisson step with the
+    retraction ``ret`` (bitwise, for M = 0) followed by the moment impulse
+    Pi' += dt M.  The translation uses p' = p + dt (-m g e3 + F R e3) and
+    q' = q + dt p'/m.
     """
-    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, tag)
+    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, ret.tag)
     if u.M != (0.0, 0.0, 0.0):
         pi_new = vec_add(pi_new, vec_scale(u.M, dt))
 
@@ -665,21 +674,6 @@ def quadrotor_step(
     q = state.q
     q_new = (q[0] + inv_m * p_new[0], q[1] + inv_m * p_new[1], q[2] + inv_m * p_new[2])
     return QuadrotorState(R=Rotation(r_new), Pi=pi_new, q=q_new, p=p_new)
-
-
-def _drifted_heavytop_state(r: Rotation, x: Vec3, pi: Vec3, gamma: Vec3) -> HeavyTopState:
-    """HeavyTopState without the unit-Gamma construction gate.
-
-    The baselines do not conserve |Gamma|; the drift is exactly what they are
-    benchmarked on, so their outputs bypass the strict check that guards
-    user-supplied initial states.
-    """
-    state = object.__new__(HeavyTopState)
-    object.__setattr__(state, "R", r)
-    object.__setattr__(state, "x", x)
-    object.__setattr__(state, "Pi", pi)
-    object.__setattr__(state, "Gamma", gamma)
-    return state
 
 
 # --- quaternion RK4 baseline -----------------------------------------------------------------
@@ -805,7 +799,7 @@ def _rk4_baseline(params, state, a0, rate, dt: float):
 def _baseline_state(state, r_new: Rotation, y_new):
     """State of the input's type from the new attitude and the RK4 momenta."""
     if isinstance(state, HeavyTopState):
-        return _drifted_heavytop_state(r_new, state.x, y_new[1], y_new[2])
+        return HeavyTopState(R=r_new, x=state.x, Pi=y_new[1], Gamma=y_new[2])
     return RigidBodyState(R=r_new, Pi=y_new[1])
 
 

@@ -42,8 +42,9 @@ Numerical notes
 * The Q-matrix kernels ``a'(theta)/theta`` and ``b'(theta)/theta`` cancel
   catastrophically in their naive closed forms, so they use Taylor series up
   to theta^8 below ``theta < 0.5`` and the closed forms above.
-* 3x3 linear solves use the explicit adjugate with a ``|det| >= 1e-14``
-  guard: fixed size, no external dependency.
+* 3x3 linear solves use the explicit adjugate: fixed size, no external
+  dependency.  The singular guard is |det| < 1e-14 both absolutely and
+  relative to the product of the row norms (Hadamard's bound on |det|).
 """
 
 from __future__ import annotations
@@ -176,10 +177,15 @@ def mat_det(m: Mat3) -> float:
     )
 
 
+def _below_hadamard(m: Mat3, det: float) -> bool:
+    """|det| <= 1e-14 times Hadamard's bound; tested only once |det| < 1e-14 trips."""
+    return abs(det) <= _DET_GUARD * norm(m[0]) * norm(m[1]) * norm(m[2])
+
+
 def solve3(m: Mat3, rhs: Vec3) -> Vec3:
-    """Solve m x = rhs by the adjugate; raises SingularMatrix if |det| < 1e-14."""
+    """Solve m x = rhs by the adjugate; raises SingularMatrix if m is near singular."""
     det = mat_det(m)
-    if abs(det) < _DET_GUARD:
+    if abs(det) < _DET_GUARD and _below_hadamard(m, det):
         raise SingularMatrix(f"3x3 solve with |det| = {abs(det):.3e}")
     inv_det = 1.0 / det
     c00 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
@@ -200,7 +206,7 @@ def solve3(m: Mat3, rhs: Vec3) -> Vec3:
 
 def mat_inv(m: Mat3) -> Mat3:
     det = mat_det(m)
-    if abs(det) < _DET_GUARD:
+    if abs(det) < _DET_GUARD and _below_hadamard(m, det):
         raise SingularMatrix(f"3x3 inverse with |det| = {abs(det):.3e}")
     d = 1.0 / det
     return (

@@ -33,6 +33,7 @@ from geomint.errors import (
     UnknownColumn,
     UnknownKey,
 )
+from geomint.mechanics import RigidBodyParams
 
 RIGIDBODY_HEADER = (
     "step,t,R11,R12,R13,R21,R22,R23,R31,R32,R33,Pi1,Pi2,Pi3,energy,casimir"
@@ -525,10 +526,19 @@ class TestCli:
                 ),
                 "rkmk4 increment |u| = 30.9572 >= 2*pi",
             ),
+            # arithmetic errors from outside the library are named by their type
+            (
+                "rigidbody", "lp_exp", "0.01", ("Pi0=1e100,1e100,1e100",),
+                "step 1: OverflowError",
+            ),
+            (
+                "rigidbody", "lp_exp", "0.01", ("Pi0=1e160,1e160,1e160",),
+                "step 1: ValueError: math domain error",
+            ),
         ],
         ids=[
             "kepler_no_convergence", "rotation_check", "exp_out_of_chart",
-            "rkmk4_dexpinv_domain",
+            "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
         ],
     )
     def test_integrator_failure_exit_code(
@@ -548,19 +558,43 @@ class TestCli:
         assert not out.exists()
 
     def test_singular_inertia_is_a_config_error(self, tmp_path, capsys):
-        # the inertia is checked before any step runs: exit 1, not a step failure
+        # a small but well-conditioned inertia is accepted: the determinant guard
+        # is relative to the row norms (diag(1e-5, 1e-5, 1e-5) has |det| = 1e-15)
         out = tmp_path / "x.csv"
-        code = cli.main(
-            [
-                "run", "--scenario", "rigidbody", "--integrator", "lp_exp",
-                "--steps", "3", "--param", "I1=1e-5", "--param", "I2=1e-5",
-                "--param", "I3=1e-5", "--out", str(out),
-            ]
-        )
-        assert code == 1
+        small = ["--param", "I1=1e-5", "--param", "I2=1e-5", "--param", "I3=1e-5"]
+        run = ["run", "--scenario", "rigidbody", "--steps", "3", "--out", str(out)]
+        assert cli.main([*run, "--integrator", "lp_cayley", *small]) == 0
+        assert len(read_csv(str(out))) == 3
+        # the stock Pi0 spins that body at |Omega| ~ 1.7e5, past the exp chart
+        out.unlink()
+        assert cli.main([*run, "--integrator", "lp_exp", *small]) == 2
         err = capsys.readouterr().err
-        assert "inertia matrix" in err and "integrator failed" not in err
+        assert "outside the retraction's chart" in err and "inertia" not in err
         assert not out.exists()
+        # the same body at the stock turning rate runs
+        slow = ["--param", "Pi0=1e-5,1e-5,1e-5"]
+        assert cli.main([*run, "--integrator", "lp_exp", *small, *slow]) == 0
+        assert len(read_csv(str(out))) == 3
+        # a near-singular SPD inertia is still a config error, checked before any
+        # step runs; inertias from the CLI are diagonal, so this one is built here
+        a = 1.0 - 1e-15
+        with pytest.raises(ValueError, match="inertia matrix .* cannot be inverted"):
+            RigidBodyParams(((1.0, a, 0.0), (a, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+    def test_non_unit_gamma0_is_a_config_error(self, tmp_path, capsys):
+        # only the Lie-Poisson steps need |Gamma| = 1; the run checks Gamma0 at setup
+        out = tmp_path / "x.csv"
+        for integrator in ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4"):
+            code = cli.main(
+                [
+                    "run", "--scenario", "heavytop", "--integrator", integrator,
+                    "--steps", "3", "--param", "Gamma0=0,0,2", "--out", str(out),
+                ]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "Gamma0" in err and "integrator failed" not in err
+            assert not out.exists()
 
     def test_compare_to_file(self, tmp_path):
         out = tmp_path / "table.txt"

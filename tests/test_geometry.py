@@ -10,7 +10,6 @@ from geomint import geometry as geo
 from geomint import so3
 from geomint.errors import DimMismatch, OutOfChart
 from geomint.geometry import (
-    DiscretizationParams,
     FlatRetraction,
     LocalSecondOrderPoint,
     alpha_local,
@@ -58,19 +57,6 @@ class TestFlatRetraction:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             FlatRetraction(3).retract(np.zeros(3), np.zeros(2))
-
-
-class TestDiscretizationParams:
-    def test_accepts_unit_interval(self):
-        DiscretizationParams(theta=0.0, s=1.0)
-        DiscretizationParams(theta=1.0, s=0.0)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_rejects_outside(self, bad):
-        with pytest.raises(ValueError):
-            DiscretizationParams(theta=bad)
-        with pytest.raises(ValueError):
-            DiscretizationParams(s=bad)
 
 
 class TestFlatDiscretize:
@@ -131,6 +117,12 @@ class TestTrivializedRetraction:
     def test_tags(self):
         assert exp_retraction().tag == "exp"
         assert cayley_retraction().tag == "cayley"
+
+    @pytest.mark.parametrize("tag", ["EXP", "", "bogus"])
+    def test_unknown_tag_raises(self, tag):
+        # an unknown tag raises rather than fall through to one of the two schemes
+        with pytest.raises(ValueError, match=f"retraction tag {tag!r}"):
+            geo.TrivializedRetraction(tag)
 
     def test_tau_at_zero(self):
         for ret in (exp_retraction(), cayley_retraction()):

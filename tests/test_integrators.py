@@ -549,11 +549,16 @@ class TestHeavyTop:
         assert d1 / d2 > 3.0
 
     def test_gamma_norm_validated(self):
-        with pytest.raises(ValueError):
-            HeavyTopState(
-                R=Rotation.identity(), x=(0.0, 0.0, 0.0), Pi=(1.0, 0.0, 0.0),
-                Gamma=(0.0, 0.0, 1.5),
-            )
+        # the state only checks finiteness (the RK4 baselines let |Gamma| drift);
+        # the Lie-Poisson steps need |Gamma| = 1 and check it on their output
+        s = HeavyTopState(
+            R=Rotation.identity(), x=(0.0, 0.0, 0.0), Pi=(1.0, 0.0, 0.0),
+            Gamma=(0.0, 0.0, 1.5),
+        )
+        assert s.Gamma == (0.0, 0.0, 1.5)
+        for step in (heavytop_exp_step, heavytop_cay_step):
+            with pytest.raises(ValueError, match=r"\|Gamma\| = 1\.5"):
+                step(HT_PARAMS, s, 0.01)
 
     def test_stiff_gravity_fails_loudly(self):
         # an impulse far outside the local solvability domain must raise, not
@@ -598,6 +603,23 @@ class TestQuadrotor:
         # free drift of the translation
         assert _vec_err(s.q, (0.0 + 20 * 0.01 * 0.5, 0.0, 1.0)) < 1e-14
         assert s.p == (0.5, 0.0, 0.0)
+
+    def test_decoupled_limit_matches_cayley_rigid_body(self):
+        # criterion 6's decoupled limit, with the Cayley retraction
+        params = QuadrotorParams(inertia=self.Q_PARAMS.inertia, m=1.0, g=0.0)
+        u = QuadrotorInput(M=(0.0, 0.0, 0.0), F=0.0)
+        s = QuadrotorState(
+            R=Rotation.identity(), Pi=(1.0, 1.0, 1.0), q=(0.0, 0.0, 1.0),
+            p=(0.0, 0.0, 0.0),
+        )
+        r, pi = s.R, s.Pi
+        for _ in range(2000):
+            s = quadrotor_step(params, s, u, 0.01, CAY)
+            r, pi = lie_poisson_left_step(PARAMS, CAY, r, pi, 0.01)
+            assert s.R.m == r.m and s.Pi == pi
+        # the retraction argument is honoured: exp takes a different step
+        s_exp = quadrotor_step(params, s, u, 0.01, EXP)
+        assert s_exp.Pi != quadrotor_step(params, s, u, 0.01, CAY).Pi
 
     def test_moment_breaks_casimir(self):
         u = QuadrotorInput(M=(0.2, -0.1, 0.3), F=5.0)

@@ -392,6 +392,21 @@ class TestLinearSolve:
         with pytest.raises(SingularMatrix):
             solve3(singular, (1.0, 1.0, 1.0))
 
+    def test_guard_is_relative_to_row_norms(self):
+        # |det| = 1e-15 < 1e-14, but the matrix is a multiple of the identity
+        small = ((1e-5, 0.0, 0.0), (0.0, 1e-5, 0.0), (0.0, 0.0, 1e-5))
+        assert solve3(small, (1e-5, 2e-5, 3e-5)) == (1.0, 2.0, 3.0)
+        assert abs(so3.mat_inv(small)[0][0] - 1e5) < 1e-9
+        # nearly parallel rows stay singular at any scale; so does the zero matrix
+        a = 1.0 - 1e-15
+        near = ((1.0, a, 0.0), (a, 1.0, 0.0), (0.0, 0.0, 1.0))
+        zero = ((0.0, 0.0, 0.0),) * 3
+        for m in (near, zero, so3.mat_scale(near, 1e-5)):
+            with pytest.raises(SingularMatrix):
+                solve3(m, (1.0, 1.0, 1.0))
+            with pytest.raises(SingularMatrix):
+                so3.mat_inv(m)
+
 
 class TestRotationType:
     def test_rejects_non_orthogonal(self):
