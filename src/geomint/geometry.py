@@ -13,9 +13,10 @@ diffeomorphism tau from the algebra to the group,
 
 A TrivializedRetraction is one of two values, named by its tag: the matrix
 exponential ("exp") or the scaled Cayley transform tau(xi) = cay_so3(xi/2)
-("cayley"); any other tag raises ValueError.  tau, tau_inv and the dual
-matrix are its methods.  The Lie-Poisson and quadrotor steps take one of the
-two values, and the two heavy-top steps bind one each.  The half argument
+("cayley"); any other tag raises ValueError.  tau (as a raw matrix in
+tau_matrix, checked in tau), tau_inv and the dual matrix are its methods.
+The Lie-Poisson and quadrotor steps and their kernels take one of the two
+values, and the two heavy-top steps bind one each.  The half argument
 makes the Cayley retraction first-order tangent (cay_so3 itself rotates by
 2*atan|v|, so the unscaled map would double every velocity at the origin and
 the induced integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
@@ -67,7 +68,9 @@ class TrivializedRetraction:
     ``tag`` is ``"exp"`` for the matrix exponential or ``"cayley"`` for the
     scaled Cayley transform; any other tag raises ValueError.  tau(0) = I and
     tau is first-order tangent, so left translation R^L(g, xi) = g tau(xi) is
-    a left-trivialized retraction.
+    a left-trivialized retraction.  ``tau_matrix`` is the one definition of
+    tau, as the raw Mat3 that the integrator kernels compose further; ``tau``
+    wraps it in the checked Rotation.
     """
 
     tag: str
@@ -76,10 +79,13 @@ class TrivializedRetraction:
         if self.tag not in (EXP_TAG, CAYLEY_TAG):
             raise ValueError(f"retraction tag {self.tag!r} is neither 'exp' nor 'cayley'")
 
-    def tau(self, xi: Vec3) -> Rotation:
+    def tau_matrix(self, xi: Vec3) -> Mat3:
         if self.tag == EXP_TAG:
-            return so3.exp_so3(xi)
-        return so3.cay_so3(so3.vec_scale(xi, 0.5))
+            return so3._exp_matrix(xi)
+        return so3._cay_matrix(so3.vec_scale(xi, 0.5))
+
+    def tau(self, xi: Vec3) -> Rotation:
+        return Rotation(self.tau_matrix(xi))
 
     def tau_inv(self, r: Rotation) -> Vec3:
         if self.tag == EXP_TAG:

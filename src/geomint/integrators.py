@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 from . import so3
 from .errors import NoConvergence, OutOfChart
-from .geometry import CAYLEY_TAG, EXP_TAG, TrivializedRetraction, exp_retraction
+from .geometry import EXP_TAG, TrivializedRetraction, cayley_retraction, exp_retraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
     NEWTON_MAX_ITER,
@@ -91,7 +91,6 @@ from .so3 import (
     _coeff_da,
     _coeff_db,
     _sinc,
-    cross,
     mat_T_vec,
     mat_vec,
     norm,
@@ -241,7 +240,7 @@ def _check_exp_chart(theta: float) -> None:
         )
 
 
-def _solve_body_omega(params, pi: Vec3, dt: float, tag: str) -> Vec3:
+def _solve_body_omega(params, pi: Vec3, dt: float, ret: TrivializedRetraction) -> Vec3:
     """Body velocity Omega from dlog(dt Omega) . Pi = I Omega.
 
     Newton iteration with the analytic Jacobian; initial guess I^-1 Pi.  The
@@ -255,7 +254,7 @@ def _solve_body_omega(params, pi: Vec3, dt: float, tag: str) -> Vec3:
     o0 = v00 * p0 + v01 * p1 + v02 * p2
     o1 = v10 * p0 + v11 * p1 + v12 * p2
     o2 = v20 * p0 + v21 * p1 + v22 * p2
-    exp_tag = tag == EXP_TAG
+    exp_tag = ret.tag == EXP_TAG
     # e_j x Pi, fixed over the iteration
     ep00 = 0.0 * p2 - 0.0 * p1
     ep01 = 0.0 * p0 - 1.0 * p2
@@ -359,18 +358,11 @@ def _solve_body_omega(params, pi: Vec3, dt: float, tag: str) -> Vec3:
     raise NoConvergence(NEWTON_MAX_ITER, max(abs(r0), abs(r1), abs(r2)))
 
 
-def _tau_matrix(tag: str, y: Vec3):
-    """Step rotation tau(y) as a raw Mat3."""
-    if tag == EXP_TAG:
-        return so3._exp_matrix(y)
-    return so3._cay_matrix(vec_scale(y, 0.5))
-
-
-def _lp_left_core(params, r_mat, pi: Vec3, dt: float, tag: str):
+def _lp_left_core(params, r_mat, pi: Vec3, dt: float, ret: TrivializedRetraction):
     """Shared rotational step; returns (R'_mat, Pi', Omega)."""
-    omega = _solve_body_omega(params, pi, dt, tag)
+    omega = _solve_body_omega(params, pi, dt, ret)
     y = vec_scale(omega, dt)
-    w = _tau_matrix(tag, y)
+    w = ret.tau_matrix(y)
     r_new = so3.mat_mul(r_mat, w)
     pi_new = mat_T_vec(w, pi)
     return r_new, pi_new, omega
@@ -391,7 +383,7 @@ def lie_poisson_left_step(
     Pi' = tau(dt Omega)^T Pi.  |Pi'| = |Pi| holds to machine precision.
     """
     pi = so3.as_vec3(Pi)
-    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, ret.tag)
+    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, ret)
     return Rotation(r_new), pi_new
 
 
@@ -409,7 +401,7 @@ def lie_poisson_right_step(
     """
     pi_spatial = so3.as_vec3(Pi)
     pi_body = mat_T_vec(R.m, pi_spatial)
-    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret.tag)
+    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret)
     return Rotation(r_new), pi_spatial
 
 
@@ -417,6 +409,8 @@ def lie_poisson_right_step(
 
 # fixed-point iterations of the heavy-top solve before its Newton fallback
 HEAVYTOP_FP_BUDGET = 25
+_EXP = exp_retraction()
+_CAYLEY = cayley_retraction()
 
 
 def _heavytop_eval(
@@ -426,7 +420,7 @@ def _heavytop_eval(
     omega: Vec3,
     dt: float,
     z: Vec3,
-    tag: str,
+    ret: TrivializedRetraction,
 ) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Residual plus translation leg and transported momenta for one guess.
 
@@ -443,7 +437,7 @@ def _heavytop_eval(
     y1 = dt * o1
     y2 = dt * o2
 
-    if tag == EXP_TAG:
+    if ret.tag == EXP_TAG:
         theta = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
         a = _coeff_a(theta)
         b = _coeff_b(theta)
@@ -559,7 +553,7 @@ def _solve_heavytop_omega(
     gamma: Vec3,
     dt: float,
     z: Vec3,
-    tag: str,
+    ret: TrivializedRetraction,
 ) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Fixed-point iteration with a finite-difference Newton fallback.
 
@@ -569,7 +563,7 @@ def _solve_heavytop_omega(
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
     omega = mat_vec(params.inertia_inv, pi)
     for _ in range(HEAVYTOP_FP_BUDGET):
-        res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+        res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
         r0, r1, r2 = res
         if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
             return omega, d, pi_new, gamma_new
@@ -585,13 +579,13 @@ def _solve_heavytop_omega(
 
     def residual(stack: np.ndarray) -> np.ndarray:
         return np.array([
-            _heavytop_eval(inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, tag)[0]
+            _heavytop_eval(inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, ret)[0]
             for row in stack
         ])
 
     sol = newton_solve(residual, np.array(omega))
     omega = (sol[0], sol[1], sol[2])
-    _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+    _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
     return omega, d, pi_new, gamma_new
 
 
@@ -599,15 +593,15 @@ def _heavytop_step(
     params: HeavyTopParams,
     state: HeavyTopState,
     dt: float,
-    tag: str,
+    ret: TrivializedRetraction,
 ) -> HeavyTopState:
     pi, gamma = state.Pi, state.Gamma
     z = vec_scale(params.chi, dt * params.m * params.g)
-    omega, d, pi_new, gamma_new = _solve_heavytop_omega(params, pi, gamma, dt, z, tag)
+    omega, d, pi_new, gamma_new = _solve_heavytop_omega(params, pi, gamma, dt, z, ret)
     y = vec_scale(omega, dt)
-    if tag == EXP_TAG:
+    if ret.tag == EXP_TAG:
         _check_exp_chart(norm(y))
-    r_new = so3.mat_mul(state.R.m, _tau_matrix(tag, y))
+    r_new = so3.mat_mul(state.R.m, ret.tau_matrix(y))
     x_new = vec_add(state.x, mat_vec(state.R.m, d))
     out = HeavyTopState(R=Rotation(r_new), x=x_new, Pi=pi_new, Gamma=gamma_new)
     # the transports conserve |Gamma|, so this also checks the input's |Gamma| = 1
@@ -629,7 +623,7 @@ def heavytop_exp_step(
     rigid-body exponential step plus x' = x.  Raises ValueError unless
     |Gamma| = 1 to within 1e-9.
     """
-    return _heavytop_step(params, state, dt, EXP_TAG)
+    return _heavytop_step(params, state, dt, _EXP)
 
 
 def heavytop_cay_step(
@@ -638,7 +632,7 @@ def heavytop_cay_step(
     dt: float,
 ) -> HeavyTopState:
     """Cayley-map heavy-top step; both Casimirs are conserved exactly, |Gamma| = 1."""
-    return _heavytop_step(params, state, dt, CAYLEY_TAG)
+    return _heavytop_step(params, state, dt, _CAYLEY)
 
 
 # --- quadrotor ----------------------------------------------------------------------------
@@ -657,7 +651,7 @@ def quadrotor_step(
     Pi' += dt M.  The translation uses p' = p + dt (-m g e3 + F R e3) and
     q' = q + dt p'/m.
     """
-    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, ret.tag)
+    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, ret)
     if u.M != (0.0, 0.0, 0.0):
         pi_new = vec_add(pi_new, vec_scale(u.M, dt))
 
@@ -747,77 +741,71 @@ def _quat_kinematics(q, omega: Vec3):
     )
 
 
-def _rk4_baseline(params, state, a0, rate, dt: float):
-    """Classical RK4 on (a, Pi) or (a, Pi, Gamma), the stage driver of both baselines.
+def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
+    """Classical RK4 on one flat float sequence, the stage driver of both baselines.
 
-    ``a`` is the attitude coordinate with a_dot = rate(a, Omega); the momenta
-    follow Euler's equations, with gravity and the advected vertical for a
-    HeavyTopState.  Returns the advanced tuple.
+    The sequence is the attitude coordinates ``a0`` with a_dot = rate(a, Omega),
+    then Pi, then Gamma for a HeavyTopState; the momenta follow Euler's
+    equations, with gravity and the advected vertical for the heavy top.  The
+    derivative is written out on float locals in the operation order of
+    so3.mat_vec, cross and vec_add.  Returns the advanced sequence.
     """
-    inv = params.inertia_inv
-    if isinstance(state, HeavyTopState):
-        mgchi = vec_scale(params.chi, params.m * params.g)
-
-        def derivative(yv):
-            a, pi, gamma = yv
-            omega = mat_vec(inv, pi)
-            return (
-                rate(a, omega),
-                vec_add(cross(pi, omega), cross(gamma, mgchi)),
-                cross(gamma, omega),
-            )
-
-        y0 = (a0, state.Pi, state.Gamma)
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
+    na = len(a0)
+    heavy = isinstance(state, HeavyTopState)
+    if heavy:
+        f0, f1, f2 = vec_scale(params.chi, params.m * params.g)
+        y0 = [*a0, *state.Pi, *state.Gamma]
     else:
+        y0 = [*a0, *state.Pi]
 
-        def derivative(yv):
-            a, pi = yv
-            omega = mat_vec(inv, pi)
-            return (rate(a, omega), cross(pi, omega))
+    def derivative(y):
+        p0, p1, p2 = y[na:na + 3]
+        o0 = v00 * p0 + v01 * p1 + v02 * p2
+        o1 = v10 * p0 + v11 * p1 + v12 * p2
+        o2 = v20 * p0 + v21 * p1 + v22 * p2
+        # Pi x Omega
+        d0 = p1 * o2 - p2 * o1
+        d1 = p2 * o0 - p0 * o2
+        d2 = p0 * o1 - p1 * o0
+        k = rate(y[:na], (o0, o1, o2))
+        if not heavy:
+            return (*k, d0, d1, d2)
+        g0, g1, g2 = y[na + 3:]
+        # Pi x Omega + Gamma x (m g chi), then Gamma x Omega
+        return (*k, d0 + (g1 * f2 - g2 * f1), d1 + (g2 * f0 - g0 * f2), d2 + (g0 * f1 - g1 * f0),
+                g1 * o2 - g2 * o1, g2 * o0 - g0 * o2, g0 * o1 - g1 * o0)
 
-        y0 = (a0, state.Pi)
-
-    def axpy(y, k, c):
-        return tuple(
-            tuple(yi + c * ki for yi, ki in zip(comp_y, comp_k))
-            for comp_y, comp_k in zip(y, k)
-        )
-
+    h = 0.5 * dt
     k1 = derivative(y0)
-    k2 = derivative(axpy(y0, k1, 0.5 * dt))
-    k3 = derivative(axpy(y0, k2, 0.5 * dt))
-    k4 = derivative(axpy(y0, k3, dt))
-    return tuple(
-        tuple(
-            yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y0c, k1c, k2c, k3c, k4c)
-        )
-        for y0c, k1c, k2c, k3c, k4c in zip(y0, k1, k2, k3, k4)
-    )
+    k2 = derivative([y + h * k for y, k in zip(y0, k1)])
+    k3 = derivative([y + h * k for y, k in zip(y0, k2)])
+    k4 = derivative([y + dt * k for y, k in zip(y0, k3)])
+    w = dt / 6.0
+    return [y + w * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
 
 
-def _baseline_state(state, r_new: Rotation, y_new):
-    """State of the input's type from the new attitude and the RK4 momenta."""
+def _baseline_state(state, r_new: Rotation, momenta):
+    """State of the input's type from the new attitude and the flat RK4 momenta."""
     if isinstance(state, HeavyTopState):
-        return HeavyTopState(R=r_new, x=state.x, Pi=y_new[1], Gamma=y_new[2])
-    return RigidBodyState(R=r_new, Pi=y_new[1])
+        return HeavyTopState(R=r_new, x=state.x, Pi=momenta[:3], Gamma=momenta[3:])
+    return RigidBodyState(R=r_new, Pi=momenta)
 
 
 def quat_rk4_step(params, state, dt: float):
     """Classical RK4 on quaternion attitude plus momenta, renormalized.
 
     Accepts a RigidBodyState with RigidBodyParams or a HeavyTopState with
-    HeavyTopParams.  The quaternion is renormalized after the step, so the
-    returned attitude is orthogonal by construction; the momenta follow the
-    plain RK4 stages and their Casimirs drift over long runs.
+    HeavyTopParams.  The quaternion leads the sequence that ``_rk4_baseline``
+    advances and is renormalized after the step, so the returned attitude is
+    orthogonal by construction; the momenta follow the plain RK4 stages and
+    their Casimirs drift over long runs.
     """
-    y_new = _rk4_baseline(
-        params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt
-    )
-    q = y_new[0]
+    y = _rk4_baseline(params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt)
+    q = y[:4]
     qn = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     q = (q[0] / qn, q[1] / qn, q[2] / qn, q[3] / qn)
-    return _baseline_state(state, Rotation(_mat_from_quat(q)), y_new)
+    return _baseline_state(state, Rotation(_mat_from_quat(q)), y[4:])
 
 
 # --- Runge-Kutta-Munthe-Kaas baseline ----------------------------------------------------------
@@ -826,9 +814,11 @@ def _dexpinv_apply(u: Vec3, k: Vec3) -> Vec3:
     """dexpinv_u(k) = k - [u,k]/2 + c2(|u|) [u,[u,k]] with the cot kernel.
 
     The kernel is valid only for |u| < 2 pi; outside that ball (or for a
-    non-finite u) raises OutOfChart.
+    non-finite u) raises OutOfChart.  Written out on float locals in the
+    operation order of so3.norm and cross.
     """
-    theta = norm(u)
+    (u0, u1, u2), (k0, k1, k2) = u, k
+    theta = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
     if not theta < 2.0 * math.pi:
         raise OutOfChart(
             f"rkmk4 increment |u| = {theta:.6g} >= 2*pi = {2.0 * math.pi:.6g}; "
@@ -840,22 +830,25 @@ def _dexpinv_apply(u: Vec3, k: Vec3) -> Vec3:
     else:
         half = 0.5 * theta
         c2 = (1.0 - half * math.cos(half) / math.sin(half)) / (theta * theta)
-    c1 = cross(u, k)
-    c2v = cross(u, c1)
+    # [u,k] = u x k, and [u,[u,k]] = u x (u x k)
+    x0 = u1 * k2 - u2 * k1
+    x1 = u2 * k0 - u0 * k2
+    x2 = u0 * k1 - u1 * k0
     return (
-        k[0] - 0.5 * c1[0] + c2 * c2v[0],
-        k[1] - 0.5 * c1[1] + c2 * c2v[1],
-        k[2] - 0.5 * c1[2] + c2 * c2v[2],
+        k0 - 0.5 * x0 + c2 * (u1 * x2 - u2 * x1),
+        k1 - 0.5 * x1 + c2 * (u2 * x0 - u0 * x2),
+        k2 - 0.5 * x2 + c2 * (u0 * x1 - u1 * x0),
     )
 
 
 def rkmk4_step(params, state, dt: float):
     """Fourth-order Munthe-Kaas step: RK4 in the algebra, exp reconstruction.
 
-    Solves u_dot = dexpinv_u(Omega) alongside the momentum stages and maps
-    back with R' = R exp(hat(u)).  The group constraint holds to roundoff;
+    Solves u_dot = dexpinv_u(Omega), u(0) = 0 leading the sequence that
+    ``_rk4_baseline`` advances, and maps back with R' = R exp(hat(u)); a stage
+    at |u| >= 2 pi raises OutOfChart.  The group constraint holds to roundoff;
     energy and Casimirs are not preserved.
     """
-    y_new = _rk4_baseline(params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
-    r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y_new[0])))
-    return _baseline_state(state, r_new, y_new)
+    y = _rk4_baseline(params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
+    r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y[:3])))
+    return _baseline_state(state, r_new, y[3:])

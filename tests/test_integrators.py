@@ -15,8 +15,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomint import bench, so3
-from geomint.errors import GeomintError, NoConvergence, SingularJacobian, SingularOrigin
-from geomint.geometry import CAYLEY_TAG, EXP_TAG, cayley_retraction, exp_retraction
+from geomint.errors import (
+    GeomintError,
+    NoConvergence,
+    OutOfChart,
+    SingularJacobian,
+    SingularOrigin,
+)
+from geomint.geometry import (
+    CAYLEY_TAG,
+    EXP_TAG,
+    TrivializedRetraction,
+    cayley_retraction,
+    exp_retraction,
+)
 from geomint.integrators import (
     HeavyTopState,
     QuadrotorInput,
@@ -34,6 +46,9 @@ from geomint.integrators import (
     rkmk4_step,
     _check_exp_chart,
     _heavytop_eval,
+    _mat_from_quat,
+    _quat_from_mat,
+    _quat_kinematics,
     _solve_body_omega,
     _solve_heavytop_omega,
 )
@@ -879,6 +894,116 @@ def _solve_heavytop_omega_reference(params, pi, gamma, dt, z, tag):
     return omega, d, pi_new, gamma_new
 
 
+def _rk4_baseline_reference(params, state, a0, rate, dt):
+    inv = params.inertia_inv
+    if isinstance(state, HeavyTopState):
+        mgchi = vec_scale(params.chi, params.m * params.g)
+
+        def derivative(yv):
+            a, pi, gamma = yv
+            omega = mat_vec(inv, pi)
+            return (
+                rate(a, omega),
+                vec_add(cross(pi, omega), cross(gamma, mgchi)),
+                cross(gamma, omega),
+            )
+
+        y0 = (a0, state.Pi, state.Gamma)
+    else:
+
+        def derivative(yv):
+            a, pi = yv
+            omega = mat_vec(inv, pi)
+            return (rate(a, omega), cross(pi, omega))
+
+        y0 = (a0, state.Pi)
+
+    def axpy(y, k, c):
+        return tuple(
+            tuple(yi + c * ki for yi, ki in zip(comp_y, comp_k))
+            for comp_y, comp_k in zip(y, k)
+        )
+
+    k1 = derivative(y0)
+    k2 = derivative(axpy(y0, k1, 0.5 * dt))
+    k3 = derivative(axpy(y0, k2, 0.5 * dt))
+    k4 = derivative(axpy(y0, k3, dt))
+    return tuple(
+        tuple(
+            yi + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for yi, a, b, c, d in zip(y0c, k1c, k2c, k3c, k4c)
+        )
+        for y0c, k1c, k2c, k3c, k4c in zip(y0, k1, k2, k3, k4)
+    )
+
+
+def _dexpinv_apply_reference(u, k):
+    theta = norm(u)
+    if not theta < 2.0 * math.pi:
+        raise OutOfChart(
+            f"rkmk4 increment |u| = {theta:.6g} >= 2*pi = {2.0 * math.pi:.6g}; "
+            "the dexpinv kernel is singular there"
+        )
+    if theta < 0.1:
+        t2 = theta * theta
+        c2 = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 / 1209600.0
+    else:
+        half = 0.5 * theta
+        c2 = (1.0 - half * math.cos(half) / math.sin(half)) / (theta * theta)
+    c1 = cross(u, k)
+    c2v = cross(u, c1)
+    return (
+        k[0] - 0.5 * c1[0] + c2 * c2v[0],
+        k[1] - 0.5 * c1[1] + c2 * c2v[1],
+        k[2] - 0.5 * c1[2] + c2 * c2v[2],
+    )
+
+
+def _baseline_state_reference(state, r_new, y_new):
+    if isinstance(state, HeavyTopState):
+        return HeavyTopState(R=r_new, x=state.x, Pi=y_new[1], Gamma=y_new[2])
+    return RigidBodyState(R=r_new, Pi=y_new[1])
+
+
+def _quat_rk4_step_reference(params, state, dt):
+    y_new = _rk4_baseline_reference(
+        params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt
+    )
+    q = y_new[0]
+    qn = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    q = (q[0] / qn, q[1] / qn, q[2] / qn, q[3] / qn)
+    return _baseline_state_reference(state, Rotation(_mat_from_quat(q)), y_new)
+
+
+def _rkmk4_step_reference(params, state, dt):
+    y_new = _rk4_baseline_reference(
+        params, state, (0.0, 0.0, 0.0), _dexpinv_apply_reference, dt
+    )
+    r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y_new[0])))
+    return _baseline_state_reference(state, r_new, y_new)
+
+
+_BASELINES = {
+    "quat_rk4": (quat_rk4_step, _quat_rk4_step_reference),
+    "rkmk4": (rkmk4_step, _rkmk4_step_reference),
+}
+
+
+def _trajectory(step, params, state, dt, steps):
+    """Bits of every state of a run, then ('raised', type, message) if a step fails."""
+    out = []
+    try:
+        for _ in range(steps):
+            state = step(params, state, dt)
+            fields = (state.R.m, state.Pi)
+            if isinstance(state, HeavyTopState):
+                fields += (state.x, state.Gamma)
+            out.append(_bits(fields))
+    except (GeomintError, ValueError) as exc:
+        out.append(("raised", type(exc), str(exc)))
+    return out
+
+
 def _bits(value):
     """Bit patterns of every float in a nested tuple or array; tells -0.0 from 0.0."""
     if isinstance(value, tuple):
@@ -952,7 +1077,7 @@ class TestKernelOracles:
     @example(_STOCK_INERTIA, (-0.0, 2.0, 0.0), 0.01, CAYLEY_TAG)
     def test_solve_body_omega_bitwise(self, inertia, pi, dt, tag):
         params = RigidBodyParams(inertia)
-        new = _outcome(_solve_body_omega, params, pi, dt, tag)
+        new = _outcome(_solve_body_omega, params, pi, dt, TrivializedRetraction(tag))
         ref = _outcome(_solve_body_omega_reference, params, pi, dt, tag)
         assert new == ref
 
@@ -963,7 +1088,7 @@ class TestKernelOracles:
     )
     def test_heavytop_eval_bitwise(self, inertia, pi, gamma, omega, dt, chi, g, tag):
         z = vec_scale(chi, dt * g)
-        new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, tag)
+        new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, TrivializedRetraction(tag))
         ref = _heavytop_eval_reference(inertia, pi, gamma, omega, dt, z, tag)
         assert new == ref
         assert _bits(new) == _bits(ref)
@@ -981,10 +1106,56 @@ class TestKernelOracles:
     def test_solve_heavytop_omega_bitwise(self, inertia, pi, gamma, dt, chi, g, tag):
         params = HeavyTopParams(inertia=inertia, m=1.0, g=g, chi=chi)
         z = vec_scale(params.chi, dt * params.m * params.g)
-        args = (params, pi, gamma, dt, z, tag)
-        new = _outcome(_solve_heavytop_omega, *args)
-        ref = _outcome(_solve_heavytop_omega_reference, *args)
+        args = (params, pi, gamma, dt, z)
+        new = _outcome(_solve_heavytop_omega, *args, TrivializedRetraction(tag))
+        ref = _outcome(_solve_heavytop_omega_reference, *args, tag)
         assert new == ref
+
+
+class TestBaselineOracles:
+    """The flat-sequence RK4 driver against the nested-tuple form it replaced."""
+
+    @staticmethod
+    def _start(heavy, inertia, pi, gamma, chi, g):
+        if heavy:
+            params = HeavyTopParams(inertia=inertia, m=1.0, g=g, chi=chi)
+            state = HeavyTopState(R=Rotation.identity(), x=(0.0, 0.0, 0.0), Pi=pi, Gamma=gamma)
+        else:
+            params = RigidBodyParams(inertia)
+            state = RigidBodyState(R=Rotation.identity(), Pi=pi)
+        return params, state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.just(_STOCK_INERTIA), _inertias()), _vectors, _unit_vectors(),
+        st.tuples(*[st.floats(-1.5, 1.5)] * 3), st.floats(0.1, 30.0),
+        st.floats(1e-4, 0.1), st.sampled_from(sorted(_BASELINES)), st.booleans(),
+    )
+    def test_trajectory_bitwise(self, inertia, pi, gamma, chi, g, dt, name, heavy):
+        params, state = self._start(heavy, inertia, pi, gamma, chi, g)
+        step, reference = _BASELINES[name]
+        new = _trajectory(step, params, state, dt, 200)
+        assert new == _trajectory(reference, params, state, dt, 200)
+
+    def test_rkmk4_out_of_chart(self):
+        # Omega = (10, 0, 0): the last stage reaches |u| = dt |Omega| = 10 >= 2 pi
+        params, state = self._start(False, _STOCK_INERTIA, (10.0, 0.0, 0.0), None, None, None)
+        new = _trajectory(rkmk4_step, params, state, 1.0, 1)
+        assert new == _trajectory(_rkmk4_step_reference, params, state, 1.0, 1)
+        assert new[0][:2] == ("raised", OutOfChart)
+        with pytest.raises(OutOfChart, match="rkmk4 increment"):
+            rkmk4_step(params, state, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(_BASELINES))
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_overflowing_pi_fails_as_before(self, name, heavy):
+        params, state = self._start(
+            heavy, _STOCK_INERTIA, (1e200, 1e200, 1e200), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 9.81
+        )
+        step, reference = _BASELINES[name]
+        new = _trajectory(step, params, state, 0.01, 1)
+        assert new == _trajectory(reference, params, state, 0.01, 1)
+        assert new[0][0] == "raised"
 
 
 # --- bitwise oracles for the flat steps --------------------------------------------
