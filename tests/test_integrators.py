@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomint import bench, so3
@@ -999,7 +999,7 @@ def _trajectory(step, params, state, dt, steps):
             if isinstance(state, HeavyTopState):
                 fields += (state.x, state.Gamma)
             out.append(_bits(fields))
-    except (GeomintError, ValueError) as exc:
+    except (GeomintError, ArithmeticError, ValueError) as exc:
         out.append(("raised", type(exc), str(exc)))
     return out
 
@@ -1125,7 +1125,11 @@ class TestBaselineOracles:
             state = RigidBodyState(R=Rotation.identity(), Pi=pi)
         return params, state
 
-    @settings(max_examples=60, deadline=None)
+    # no explain phase: tracing 200-step runs to explain a failure took minutes
+    # and hundreds of MB, where reporting the shrunk example takes seconds
+    @settings(
+        max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+    )
     @given(
         st.one_of(st.just(_STOCK_INERTIA), _inertias()), _vectors, _unit_vectors(),
         st.tuples(*[st.floats(-1.5, 1.5)] * 3), st.floats(0.1, 30.0),
