@@ -742,7 +742,7 @@ def _quat_kinematics(q, omega: Vec3):
 
 
 def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
-    """Classical RK4 on one flat float sequence, the stage driver of both baselines.
+    """Classical RK4 on one flat float sequence, the one stage loop of both baselines.
 
     The sequence is the attitude coordinates ``a0`` with a_dot = rate(a, Omega),
     then Pi, then Gamma for a HeavyTopState; the momenta follow Euler's

@@ -1113,7 +1113,7 @@ class TestKernelOracles:
 
 
 class TestBaselineOracles:
-    """The flat-sequence RK4 driver against the nested-tuple form it replaced."""
+    """The flat-sequence RK4 stage loop against the nested-tuple form it replaced."""
 
     @staticmethod
     def _start(heavy, inertia, pi, gamma, chi, g):
