@@ -633,11 +633,8 @@ _INVARIANT_COLUMNS = {
 }
 
 
-def _max_orthodefect(records: Sequence[TrajectoryRecord]) -> float | None:
-    cols = records[0].columns
-    if "R11" not in cols:
-        return None
-    base = cols.index("R11") - 2
+def _max_orthodefect(records: Sequence[TrajectoryRecord]) -> float:
+    base = records[0].columns.index("R11") - 2
     worst = 0.0
     for rec in records:
         v = rec.values
@@ -650,12 +647,65 @@ def _max_orthodefect(records: Sequence[TrajectoryRecord]) -> float | None:
     return worst
 
 
+def _compare_row(config: ScenarioConfig) -> list[str]:
+    """Run one config; its table row: integrator, the invariants' max deviations,
+    the max orthogonality defect (group scenarios) and the run's wall ms."""
+    start = time.perf_counter()
+    records = run_scenario(config)
+    wall_ms = (time.perf_counter() - start) * 1e3
+    row = [config.integrator]
+    row += ["%.3e" % _max_abs_dev(records, name) for name in _INVARIANT_COLUMNS[config.scenario]]
+    if config.scenario in GROUP_SCENARIOS:
+        row.append("%.3e" % _max_orthodefect(records))
+    return row + ["%.1f" % wall_ms]
+
+
+def _rows_in_workers(configs: Sequence[ScenarioConfig]) -> list[list[str] | None]:
+    """``_compare_row`` of each config from forked workers, one per usable CPU.
+
+    Workers take config indices from a pipe in order and send each row back as
+    one line, shorter than PIPE_BUF so that lines never mix.  A config whose
+    worker raised or died gets None.  Every worker is reaped before returning.
+    """
+    import os
+
+    jobs_r, jobs_w = os.pipe()
+    os.write(jobs_w, b"".join(i.to_bytes(4, "little") for i in range(len(configs))))
+    os.close(jobs_w)
+    rows_r, rows_w = os.pipe()
+    rows: list[list[str] | None] = [None] * len(configs)
+    pids = []
+    try:
+        with open(rows_r, "rb") as out:
+            with open(jobs_r, "rb", 0), open(rows_w, "wb", 0):
+                for _ in range(min(len(configs), len(os.sched_getaffinity(0)))):
+                    pid = os.fork()
+                    if pid == 0:
+                        try:
+                            while job := os.read(jobs_r, 4):
+                                i = int.from_bytes(job, "little")
+                                line = "\t".join([str(i), *_compare_row(configs[i])])
+                                os.write(rows_w, (line + "\n").encode())
+                        finally:
+                            os._exit(0)  # never back into the caller's code
+                    pids.append(pid)
+            for line in out.read().decode().splitlines():
+                i, *row = line.split("\t")
+                rows[int(i)] = row
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return rows
+
+
 def compare(configs: Sequence[ScenarioConfig]) -> str:
     """Run several integrators on one scenario; return a fixed-width table.
 
     Columns: per-invariant max absolute deviation, max orthogonality defect
-    (group scenarios), and wall time in milliseconds.  Runs are independent
-    and may execute in any order.
+    (group scenarios), and wall time in milliseconds.  The runs go to forked
+    workers; rows keep the order of ``configs``.  The first config in order
+    without a row runs again here, so a failure raises as in a serial loop:
+    runs are deterministic.
     """
     if not configs:
         raise ValueError("no configs to compare")
@@ -665,25 +715,14 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
 
     invariants = _INVARIANT_COLUMNS[scenario]
     headers = ["integrator"] + [f"max|d {name}|" for name in invariants]
-    group = scenario in GROUP_SCENARIOS
-    if group:
+    if scenario in GROUP_SCENARIOS:
         headers.append("max orthodefect")
     headers.append("wall ms")
 
-    rows = []
-    for config in configs:
-        start = time.perf_counter()
-        records = run_scenario(config)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        row = [config.integrator]
-        for name in invariants:
-            row.append("%.3e" % _max_abs_dev(records, name))
-        if group:
-            defect = _max_orthodefect(records)
-            row.append("%.3e" % defect if defect is not None else "-")
-        row.append("%.1f" % wall_ms)
-        rows.append(row)
-
+    rows = [
+        row if row is not None else _compare_row(config)
+        for row, config in zip(_rows_in_workers(configs), configs)
+    ]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),

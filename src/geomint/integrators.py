@@ -69,7 +69,7 @@ import math
 from dataclasses import dataclass
 
 from . import so3
-from .errors import NoConvergence, OutOfChart
+from .errors import NoConvergence, NotRotation, OutOfChart
 from .geometry import EXP_TAG, TrivializedRetraction, cayley_retraction, exp_retraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
@@ -768,7 +768,11 @@ def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
         d0 = p1 * o2 - p2 * o1
         d1 = p2 * o0 - p0 * o2
         d2 = p0 * o1 - p1 * o0
-        k = rate(y[:na], (o0, o1, o2))
+        try:
+            k = rate(y[:na], (o0, o1, o2))
+        except OutOfChart:
+            _blame_pi(y[na:na + 3], state.Pi)
+            raise
         if not heavy:
             return (*k, d0, d1, d2)
         g0, g1, g2 = y[na + 3:]
@@ -783,6 +787,12 @@ def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
     k4 = derivative([y + dt * k for y, k in zip(y0, k3)])
     w = dt / 6.0
     return [y + w * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+
+
+def _blame_pi(stage_pi, pi: Vec3) -> None:
+    """On a baseline step's failure path: raise ValueError if the RK4 stages overflowed Pi."""
+    if not so3.vec_is_finite(stage_pi):
+        raise ValueError(f"Pi = {pi} overflowed in the RK4 stages to {tuple(stage_pi)}")
 
 
 def _baseline_state(state, r_new: Rotation, momenta):
@@ -805,7 +815,12 @@ def quat_rk4_step(params, state, dt: float):
     q = y[:4]
     qn = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     q = (q[0] / qn, q[1] / qn, q[2] / qn, q[3] / qn)
-    return _baseline_state(state, Rotation(_mat_from_quat(q)), y[4:])
+    try:
+        r_new = Rotation(_mat_from_quat(q))
+    except NotRotation:
+        _blame_pi(y[4:7], state.Pi)
+        raise
+    return _baseline_state(state, r_new, y[4:])
 
 
 # --- Runge-Kutta-Munthe-Kaas baseline ----------------------------------------------------------

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -409,6 +410,16 @@ class TestSummarizeDrift:
         assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
+def _cells(table):
+    """The cells of a compare table's rows, all but the wall ms column."""
+    return [line.split()[:-1] for line in table.splitlines()[2:]]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestCompare:
     def test_four_rows(self):
         configs = [
@@ -448,6 +459,41 @@ class TestCompare:
         for geo in ("lp_exp", "lp_cayley"):
             for base in ("quat_rk4", "rkmk4"):
                 assert devs[geo] < devs[base] * 1e-2
+
+
+    @pytest.mark.parametrize("cpus", [None, 1])
+    @pytest.mark.parametrize("scenario", ["rigidbody", "heavytop", "kepler"])
+    def test_rows_match_in_process_runs(self, monkeypatch, scenario, cpus):
+        # forked workers, numpy already loaded for kepler, give the rows of
+        # in-process runs one config at a time; one worker per usable CPU
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        configs = [default_config(scenario, name, steps=100) for name in bench.COMPAT[scenario]]
+        table = compare(configs)
+        assert len(forks) == min(len(configs), len(os.sched_getaffinity(0)))
+        _assert_no_child_left()
+        assert _cells(table) == [bench._compare_row(c)[:-1] for c in configs]
+
+    # one worker killed, both killed
+    @pytest.mark.parametrize("victim", ["lp_exp", "rkmk4", None])
+    def test_killed_worker_gives_the_serial_outcome(self, monkeypatch, victim):
+        parent, run = os.getpid(), bench.run_scenario
+
+        def run_or_die(config):
+            if os.getpid() != parent and victim in (None, config.integrator):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(config)
+
+        monkeypatch.setattr(bench, "run_scenario", run_or_die)
+        configs = [default_config("heavytop", name, steps=50) for name in bench.COMPAT["heavytop"]]
+        assert _cells(compare(configs)) == [bench._compare_row(c)[:-1] for c in configs]
+        _assert_no_child_left()
+        failing = [default_config("heavytop", name, dt=0.5, steps=300) for name in ("lp_exp", "rkmk4")]
+        with pytest.raises(IntegratorFailure, match=r"step 10: rkmk4 increment \|u\| = 6\.6254 "):
+            compare(failing)
+        _assert_no_child_left()
 
 
 class TestCli:
@@ -490,6 +536,7 @@ class TestCli:
         )
         assert code == 1
         assert "need at least two records" in capsys.readouterr().err
+        _assert_no_child_left()
         # argparse's own usage errors exit 1 too; 2 means an integrator failure
         run = ["run", "--scenario", "harmonic", "--integrator", "rk4"]
         for args in (
@@ -510,8 +557,11 @@ class TestCli:
         "scenario, integrator, dt, params, cause",
         [
             ("kepler", "implicit_euler", "50.0", (), "no convergence"),
-            # the Rotation check fails inside the step loop
-            ("rigidbody", "quat_rk4", "1e3", (), "rotation matrix"),
+            # the Rotation check fails inside the step loop: a spin about a principal
+            # axis keeps Pi finite while the quaternion stages overflow
+            ("rigidbody", "quat_rk4", "0.01", ("Pi0=1e160,0,0",), "rotation matrix"),
+            # Pi overflows in the RK4 stages and is named, not the attitude it spoils
+            ("rigidbody", "quat_rk4", "1e3", (), "step 2: ValueError: Pi = (1.28914"),
             # Newton converges to a spurious root past the exp chart
             ("rigidbody", "lp_exp", "50", (), "outside the retraction's chart"),
             # a stiff heavy top drives the RKMK increment past dexpinv's 2 pi ball
@@ -537,7 +587,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "kepler_no_convergence", "rotation_check", "exp_out_of_chart",
+            "kepler_no_convergence", "rotation_check", "pi_overflow", "exp_out_of_chart",
             "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
         ],
     )
@@ -595,6 +645,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert "Gamma0" in err and "integrator failed" not in err
             assert not out.exists()
+
+    def test_compare_failure_exit_code(self, capsys):
+        # the worker's exception cannot be sent back; the parent raises it afresh
+        argv = ["compare", "--scenario", "heavytop", "--integrators", "lp_exp,rkmk4",
+                "--dt", "0.5", "--steps", "300"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "error: integrator failed at step 10: rkmk4 increment |u| = 6.6254 >= 2*pi"
+            " = 6.28319; the dexpinv kernel is singular there\n"
+        ))
+        _assert_no_child_left()
 
     def test_compare_to_file(self, tmp_path):
         out = tmp_path / "table.txt"
@@ -710,7 +771,11 @@ class TestCli:
                         "--integrators", ",".join(bench.COMPAT[scenario]),
                         "--steps", "3"]
                 assert cli.main(argv) == 0, argv
-                assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+                # compare runs in forked workers, whose imports this process never
+                # sees, so each of its rows is also made here
+                for integrator in bench.COMPAT[scenario]:
+                    bench._compare_row(bench.default_config(scenario, integrator, steps=3))
+                    assert "numpy" not in sys.modules, f"{scenario} {integrator} loaded numpy"
             # a flat run does load it, so the checks above are not vacuous
             argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
                     "--steps", "1", "--out", out]

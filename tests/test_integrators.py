@@ -18,6 +18,7 @@ from geomint import bench, so3
 from geomint.errors import (
     GeomintError,
     NoConvergence,
+    NotRotation,
     OutOfChart,
     SingularJacobian,
     SingularOrigin,
@@ -1153,13 +1154,21 @@ class TestBaselineOracles:
     @pytest.mark.parametrize("name", sorted(_BASELINES))
     @pytest.mark.parametrize("heavy", [False, True])
     def test_overflowing_pi_fails_as_before(self, name, heavy):
+        # the step fails where the reference does, and names Pi in place of the
+        # attitude check or the |u| = inf its nan stages set off; that error is kept
         params, state = self._start(
             heavy, _STOCK_INERTIA, (1e200, 1e200, 1e200), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 9.81
         )
         step, reference = _BASELINES[name]
-        new = _trajectory(step, params, state, 0.01, 1)
-        assert new == _trajectory(reference, params, state, 0.01, 1)
-        assert new[0][0] == "raised"
+        (old,) = _trajectory(reference, params, state, 0.01, 1)
+        assert old[:2] == ("raised", NotRotation if name == "quat_rk4" else OutOfChart)
+        with pytest.raises(ValueError) as info:
+            step(params, state, 0.01)
+        assert str(info.value) == (
+            "Pi = (1e+200, 1e+200, 1e+200) overflowed in the RK4 stages to (nan, nan, nan)"
+        )
+        cause = info.value.__context__
+        assert ("raised", type(cause), str(cause)) == old
 
 
 # --- bitwise oracles for the flat steps --------------------------------------------
