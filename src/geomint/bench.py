@@ -648,8 +648,8 @@ def _max_orthodefect(records: Sequence[TrajectoryRecord]) -> float:
 
 
 def _compare_row(config: ScenarioConfig) -> list[str]:
-    """Run one config; its table row: integrator, the invariants' max deviations,
-    the max orthogonality defect (group scenarios) and the run's wall ms."""
+    """Run one config and return its table row: the integrator, each invariant's
+    max deviation, the max orthogonality defect (group scenarios) and wall ms."""
     start = time.perf_counter()
     records = run_scenario(config)
     wall_ms = (time.perf_counter() - start) * 1e3

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NoConvergence, SingularJacobian
+from .errors import GeomintError, NoConvergence, SingularJacobian
 
 # numpy is imported inside the functions that use it, so that importing geomint
 # never loads it; hence the string annotations.  A field takes a stack of points
@@ -175,8 +175,9 @@ def newton_solve(
     last single-row call at its final iterate for the reported residual.
 
     The difference points of the accepted iterate are evaluated too and their
-    values discarded, so a residual that raises within FD_STEP of its root
-    fails a solve that would converge there.
+    values discarded.  When the stacked call raises, x alone is evaluated: a
+    root is returned, so a residual that raises within FD_STEP of its root
+    does not fail the solve, and otherwise the exception propagates.
 
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
@@ -189,7 +190,13 @@ def newton_solve(
     offsets = _newton_offsets(n)
     tol = NEWTON_TOL
     for _ in range(NEWTON_MAX_ITER):
-        vals = np.asarray(residual(x + offsets), dtype=float)
+        try:
+            vals = np.asarray(residual(x + offsets), dtype=float)
+        except (GeomintError, ArithmeticError, ValueError):
+            r = np.asarray(residual(x[None]), dtype=float)[0]
+            if all(abs(v) <= tol for v in r.tolist()):
+                return x
+            raise
         r = vals[0]
         # false for a nan entry, as the inf-norm test would be
         if all(abs(v) <= tol for v in r.tolist()):

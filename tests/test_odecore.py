@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from geomint import bench
 from geomint import integrators as gi
 from geomint import odecore as ode
-from geomint.errors import NoConvergence, SingularJacobian
+from geomint.errors import NoConvergence, SingularJacobian, SingularOrigin
 from geomint.mechanics import (
     KeplerParams,
     PendulumParams,
@@ -183,6 +183,24 @@ class TestNewton:
 
         out = newton_solve(residual, np.array([0.0, 5.0]))
         assert np.max(np.abs(out - 2.0)) <= ode.NEWTON_TOL
+
+    def test_raise_at_accepted_difference_points(self):
+        # a root within FD_STEP of where the residual raises is still returned,
+        # as the two-call loop returns it; away from the root the error stands
+        def residual(stack):
+            if np.any(np.all(stack == 0.0, axis=-1)):
+                raise SingularOrigin("Kepler state at r = 0")
+            return stack - np.array([0.0, 1e-7])
+
+        x0 = np.array([0.0, 1e-7])
+        assert newton_solve(residual, x0).tobytes() == x0.tobytes()
+        assert _newton_two_calls(residual, x0).tobytes() == x0.tobytes()
+        with pytest.raises(SingularOrigin):
+            newton_solve(residual, np.array([1e-7, 0.0]))
+        # a Kepler implicit Euler step of length 0 next to the origin
+        f = kepler_vectorfield(KeplerParams(mu=1.0))
+        x = np.array([0.0, 1e-7, 0.0, 0.0])
+        assert ode.implicit_euler_step(f, x, 0.0).tobytes() == x.tobytes()
 
 
 def _solved_alike(step):
