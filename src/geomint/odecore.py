@@ -175,9 +175,11 @@ def newton_solve(
     last single-row call at its final iterate for the reported residual.
 
     The difference points of the accepted iterate are evaluated too and their
-    values discarded.  When the stacked call raises, x alone is evaluated: a
-    root is returned, so a residual that raises within FD_STEP of its root
-    does not fail the solve, and otherwise the exception propagates.
+    values discarded.  When the stacked call raises a GeomintError or an
+    ArithmeticError, x alone is evaluated: a root is returned, so a residual
+    that raises within FD_STEP of its root does not fail the solve, and
+    otherwise the exception propagates.  A ValueError, as from a field that
+    maps a stack to one row, always propagates.
 
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
@@ -192,7 +194,7 @@ def newton_solve(
     for _ in range(NEWTON_MAX_ITER):
         try:
             vals = np.asarray(residual(x + offsets), dtype=float)
-        except (GeomintError, ArithmeticError, ValueError):
+        except (GeomintError, ArithmeticError):
             r = np.asarray(residual(x[None]), dtype=float)[0]
             if all(abs(v) <= tol for v in r.tolist()):
                 return x
