@@ -460,7 +460,6 @@ class TestCompare:
             for base in ("quat_rk4", "rkmk4"):
                 assert devs[geo] < devs[base] * 1e-2
 
-
     @pytest.mark.parametrize("cpus", [None, 1])
     @pytest.mark.parametrize("scenario", ["rigidbody", "heavytop", "kepler"])
     def test_rows_match_in_process_runs(self, monkeypatch, scenario, cpus):
@@ -476,7 +475,7 @@ class TestCompare:
         _assert_no_child_left()
         assert _cells(table) == [bench._compare_row(c)[:-1] for c in configs]
 
-    # one worker killed, both killed
+    # the lp_exp worker, the rkmk4 worker, or every worker dies by SIGKILL
     @pytest.mark.parametrize("victim", ["lp_exp", "rkmk4", None])
     def test_killed_worker_gives_the_serial_outcome(self, monkeypatch, victim):
         parent, run = os.getpid(), bench.run_scenario
