@@ -198,6 +198,8 @@ class ScenarioConfig:
         for key, value in self.params.items():
             if key not in merged:
                 raise UnknownKey(f"unknown key {key!r} for scenario {self.scenario!r}")
+            if key == "project" and isinstance(value, bool):
+                value = float(value)
             _check_param(key, merged[key], value)
             merged[key] = value
         object.__setattr__(self, "params", merged)
@@ -250,7 +252,8 @@ def _parse_value(text: str):
         return tuple(float(part) for part in text.split(","))
     lowered = text.lower()
     if lowered in ("true", "false"):
-        return 1.0 if lowered == "true" else 0.0
+        # a switch word; only project takes one, and any other key rejects a bool
+        return lowered == "true"
     try:
         return float(text)
     except ValueError:
@@ -571,12 +574,12 @@ class DriftSummary:
     linear_slope: float
 
 
-def _max_abs_dev(records: Sequence[TrajectoryRecord], column: str) -> float:
-    """max |v - v0| over one value column, in pure Python.
+def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSummary:
+    """Deviation statistics of one invariant column over a run.
 
-    Equals ``float(np.max(np.abs(v - v[0])))`` bit for bit, so it returns
-    NaN when any deviation is NaN.  Raises ValueError for fewer than two
-    records and UnknownColumn when the records lack the column.
+    The slope is the least-squares fit of the column against time, in column
+    units per second.  Raises ValueError for fewer than two records and
+    UnknownColumn when the records lack the column.
     """
     if len(records) < 2:
         raise ValueError("need at least two records")
@@ -584,28 +587,9 @@ def _max_abs_dev(records: Sequence[TrajectoryRecord], column: str) -> float:
     # step and t live outside rec.values; indexing them would read a value column
     if column not in cols[2:]:
         raise UnknownColumn(column)
-    idx = cols.index(column) - 2
-    initial = records[0].values[idx]
-    worst = 0.0
-    for rec in records:
-        dev = abs(rec.values[idx] - initial)
-        if dev != dev:
-            return float(dev)
-        if dev > worst:
-            worst = dev
-    return float(worst)
-
-
-def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSummary:
-    """Deviation statistics of one invariant column over a run.
-
-    The slope is the least-squares fit of the column against time, in column
-    units per second.  Raises UnknownColumn when the records lack the column.
-    """
-    max_abs_dev = _max_abs_dev(records, column)
     import numpy as np
 
-    idx = records[0].columns.index(column) - 2
+    idx = cols.index(column) - 2
     times = np.fromiter((rec.t for rec in records), dtype=float, count=len(records))
     values = np.fromiter(
         (rec.values[idx] for rec in records), dtype=float, count=len(records)
@@ -616,7 +600,7 @@ def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSu
     return DriftSummary(
         initial=float(values[0]),
         final=float(values[-1]),
-        max_abs_dev=max_abs_dev,
+        max_abs_dev=float(np.max(np.abs(values - values[0]))),
         linear_slope=slope,
     )
 
@@ -633,30 +617,32 @@ _INVARIANT_COLUMNS = {
 }
 
 
-def _max_orthodefect(records: Sequence[TrajectoryRecord]) -> float:
-    base = records[0].columns.index("R11") - 2
-    worst = 0.0
-    for rec in records:
-        v = rec.values
-        m = (
-            (v[base], v[base + 1], v[base + 2]),
-            (v[base + 3], v[base + 4], v[base + 5]),
-            (v[base + 6], v[base + 7], v[base + 8]),
-        )
-        worst = max(worst, mech.orthogonality_defect(m))
-    return worst
-
-
 def _compare_row(config: ScenarioConfig) -> list[str]:
     """Run one config and return its table row: the integrator, each invariant's
-    max deviation, the max orthogonality defect (group scenarios) and wall ms."""
+    max deviation, the max orthogonality defect (group scenarios) and wall ms.
+
+    One pass over the run keeps a running maximum per cell and no records.  A
+    NaN deviation stays NaN, as ``np.max`` reports it.
+    """
+    cols = _COLUMNS[config.scenario]
+    idx = [cols.index(name) - 2 for name in _INVARIANT_COLUMNS[config.scenario]]
+    group = config.scenario in GROUP_SCENARIOS  # their values lead with R11 ... R33
+    worst, ortho, initial = [0.0] * len(idx), 0.0, None
     start = time.perf_counter()
-    records = run_scenario(config)
+    for rec in iter_scenario(config):
+        v = rec.values
+        if initial is None:
+            initial = [v[i] for i in idx]
+        for j, i in enumerate(idx):
+            dev = abs(v[i] - initial[j])
+            if dev > worst[j] or dev != dev:
+                worst[j] = dev
+        if group:
+            ortho = max(ortho, mech.orthogonality_defect((v[0:3], v[3:6], v[6:9])))
     wall_ms = (time.perf_counter() - start) * 1e3
-    row = [config.integrator]
-    row += ["%.3e" % _max_abs_dev(records, name) for name in _INVARIANT_COLUMNS[config.scenario]]
-    if config.scenario in GROUP_SCENARIOS:
-        row.append("%.3e" % _max_orthodefect(records))
+    row = [config.integrator] + ["%.3e" % dev for dev in worst]
+    if group:
+        row.append("%.3e" % ortho)
     return row + ["%.1f" % wall_ms]
 
 
@@ -702,16 +688,19 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
     """Run several integrators on one scenario; return a fixed-width table.
 
     Columns: per-invariant max absolute deviation, max orthogonality defect
-    (group scenarios), and wall time in milliseconds.  The runs go to forked
-    workers; rows keep the order of ``configs``.  The first config in order
-    without a row runs again here, so a failure raises as in a serial loop:
-    runs are deterministic.
+    (group scenarios), and the wall time of the run and its columns in
+    milliseconds.  A config with fewer than two steps raises ValueError before
+    any run.  The runs go to forked workers; rows keep the order of
+    ``configs``.  The first config in order without a row runs again here, so
+    a failure raises as in a serial loop: runs are deterministic.
     """
     if not configs:
         raise ValueError("no configs to compare")
     scenario = configs[0].scenario
     if any(c.scenario != scenario for c in configs):
         raise ValueError("compare requires a single shared scenario")
+    if any(c.steps < 2 for c in configs):
+        raise ValueError("need at least two records")
 
     invariants = _INVARIANT_COLUMNS[scenario]
     headers = ["integrator"] + [f"max|d {name}|" for name in invariants]

@@ -741,14 +741,15 @@ def _quat_kinematics(q, omega: Vec3):
     )
 
 
-def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
+def _rk4_baseline(name: str, params, state, a0, rate, dt: float) -> list[float]:
     """Classical RK4 on one flat float sequence, the one stage loop of both baselines.
 
     The sequence is the attitude coordinates ``a0`` with a_dot = rate(a, Omega),
     then Pi, then Gamma for a HeavyTopState; the momenta follow Euler's
     equations, with gravity and the advected vertical for the heavy top.  The
     derivative is written out on float locals in the operation order of
-    so3.mat_vec, cross and vec_add.  Returns the advanced sequence.
+    so3.mat_vec, cross and vec_add.  Returns the advanced sequence; ``name``
+    is the integrator's, for the failure message of ``_blame_stages``.
     """
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
     na = len(a0)
@@ -771,7 +772,7 @@ def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
         try:
             k = rate(y[:na], (o0, o1, o2))
         except OutOfChart:
-            _blame_pi(y[na:na + 3], state.Pi)
+            _blame_stages(name, y[:na], y[na:na + 3], params, state, dt)
             raise
         if not heavy:
             return (*k, d0, d1, d2)
@@ -789,10 +790,16 @@ def _rk4_baseline(params, state, a0, rate, dt: float) -> list[float]:
     return [y + w * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
 
 
-def _blame_pi(stage_pi, pi: Vec3) -> None:
-    """On a baseline step's failure path: raise ValueError if the RK4 stages overflowed Pi."""
+def _blame_stages(name: str, attitude, stage_pi, params, state, dt: float) -> None:
+    """On a baseline step's failure path: raise ValueError naming Pi if the RK4
+    stages overflowed it, else the step's rate if they overflowed the attitude."""
     if not so3.vec_is_finite(stage_pi):
-        raise ValueError(f"Pi = {pi} overflowed in the RK4 stages to {tuple(stage_pi)}")
+        raise ValueError(f"Pi = {state.Pi} overflowed in the RK4 stages to {tuple(stage_pi)}")
+    if not math.isfinite(math.sqrt(sum(a * a for a in attitude))):
+        rate = dt * math.hypot(*mat_vec(params.inertia_inv, state.Pi))  # hypot: no overflow
+        raise ValueError(
+            f"{name}: the step's |dt*Omega| = {rate:.6g} overflowed the attitude in its RK4 stages"
+        )
 
 
 def _baseline_state(state, r_new: Rotation, momenta):
@@ -811,14 +818,14 @@ def quat_rk4_step(params, state, dt: float):
     orthogonal by construction; the momenta follow the plain RK4 stages and
     their Casimirs drift over long runs.
     """
-    y = _rk4_baseline(params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt)
+    y = _rk4_baseline("quat_rk4", params, state, _quat_from_mat(state.R.m), _quat_kinematics, dt)
     q = y[:4]
     qn = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     q = (q[0] / qn, q[1] / qn, q[2] / qn, q[3] / qn)
     try:
         r_new = Rotation(_mat_from_quat(q))
     except NotRotation:
-        _blame_pi(y[4:7], state.Pi)
+        _blame_stages("quat_rk4", y[:4], y[4:7], params, state, dt)
         raise
     return _baseline_state(state, r_new, y[4:])
 
@@ -864,6 +871,6 @@ def rkmk4_step(params, state, dt: float):
     at |u| >= 2 pi raises OutOfChart.  The group constraint holds to roundoff;
     energy and Casimirs are not preserved.
     """
-    y = _rk4_baseline(params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
+    y = _rk4_baseline("rkmk4", params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
     r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y[:3])))
     return _baseline_state(state, r_new, y[3:])

@@ -4,11 +4,13 @@ import filecmp
 import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from geomint.errors import (
     UnknownColumn,
     UnknownKey,
 )
-from geomint.mechanics import RigidBodyParams
+from geomint.mechanics import RigidBodyParams, orthogonality_defect
 
 RIGIDBODY_HEADER = (
     "step,t,R11,R12,R13,R21,R22,R23,R31,R32,R33,Pi1,Pi2,Pi3,energy,casimir"
@@ -176,6 +178,26 @@ class TestConfig:
             assert code == 1, key
             assert f"{key} must be a number, got (0.1, 0.2)" in capsys.readouterr().err
             assert not out.exists()
+        # true and false are switch words: only project takes one
+        cfg.write_text("dt = true\n", encoding="utf-8")
+        code = cli.main(
+            [
+                "run", "--scenario", "harmonic", "--integrator", "rk4",
+                "--config", str(cfg), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "dt must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+        code = cli.main(
+            [
+                "run", "--scenario", "harmonic", "--integrator", "rk4",
+                "--param", "m=true", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "m must be numeric, got True" in capsys.readouterr().err
+        assert not out.exists()
         for word, value in (("true", 1.0), ("false", 0.0)):
             cfg.write_text(f"project = {word}\n", encoding="utf-8")
             parsed = parse_config(
@@ -378,8 +400,6 @@ class TestSummarizeDrift:
         for column in ("step", "t"):
             with pytest.raises(UnknownColumn):
                 summarize_drift(records, column)
-            with pytest.raises(UnknownColumn):
-                bench._max_abs_dev(records, column)
 
     def test_max_abs_dev_matches_numpy_bitwise(self):
         rng = np.random.default_rng(7)
@@ -478,21 +498,84 @@ class TestCompare:
     # the lp_exp worker, the rkmk4 worker, or every worker dies by SIGKILL
     @pytest.mark.parametrize("victim", ["lp_exp", "rkmk4", None])
     def test_killed_worker_gives_the_serial_outcome(self, monkeypatch, victim):
-        parent, run = os.getpid(), bench.run_scenario
+        parent, iterate, row = os.getpid(), bench.iter_scenario, bench._compare_row
+        reran = []
 
-        def run_or_die(config):
+        def iterate_or_die(config):
             if os.getpid() != parent and victim in (None, config.integrator):
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run(config)
+            return iterate(config)
 
-        monkeypatch.setattr(bench, "run_scenario", run_or_die)
+        def row_here(config):
+            if os.getpid() == parent:
+                reran.append(config.integrator)
+            return row(config)
+
+        monkeypatch.setattr(bench, "iter_scenario", iterate_or_die)
+        monkeypatch.setattr(bench, "_compare_row", row_here)
+        # two workers whatever the machine, so one outlives a single victim
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         configs = [default_config("heavytop", name, steps=50) for name in bench.COMPAT["heavytop"]]
-        assert _cells(compare(configs)) == [bench._compare_row(c)[:-1] for c in configs]
+        table = compare(configs)
         _assert_no_child_left()
+        # the parent ran again exactly the configs whose workers died
+        assert reran == [c.integrator for c in configs if victim in (None, c.integrator)]
+        assert _cells(table) == [row(c)[:-1] for c in configs]
+        reran.clear()
         failing = [default_config("heavytop", name, dt=0.5, steps=300) for name in ("lp_exp", "rkmk4")]
         with pytest.raises(IntegratorFailure, match=r"step 10: rkmk4 increment \|u\| = 6\.6254 "):
             compare(failing)
         _assert_no_child_left()
+        # and the config that failed in its worker
+        assert reran == (["rkmk4"] if victim == "rkmk4" else ["lp_exp", "rkmk4"])
+
+    def test_memory_does_not_grow_with_steps(self):
+        # a row folds its columns as the run goes and keeps no records
+        def peak(steps):
+            config = default_config("rigidbody", "lp_exp", steps=steps)
+            tracemalloc.start()
+            try:
+                bench._compare_row(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations out of the way
+        assert peak(1000) - peak(100) < 16 * 1024
+
+    @pytest.mark.parametrize("scenario", bench.SCENARIOS)
+    def test_cells_match_numpy(self, scenario):
+        # 300 flat steps reach the NaN of pendulum_embedded explicit_euler and
+        # the failure of kepler implicit_euler at step 133
+        steps = 300 if scenario in bench.FLAT_SCENARIOS else 200
+        rot = ("R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33")
+        rows = {}
+        for name in bench.COMPAT[scenario]:
+            config = default_config(scenario, name, steps=steps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    records = run_scenario(config)
+                except IntegratorFailure as exc:
+                    with pytest.raises(IntegratorFailure, match=re.escape(str(exc))):
+                        bench._compare_row(config)
+                    rows[name] = exc.step
+                    continue
+                expected = [name]
+                for column in bench._INVARIANT_COLUMNS[scenario]:
+                    v = np.array([rec.value(column) for rec in records])
+                    expected.append("%.3e" % float(np.max(np.abs(v - v[0]))))
+                rows[name] = bench._compare_row(config)[:-1]
+            if scenario in bench.GROUP_SCENARIOS:
+                defects = []
+                for rec in records:
+                    r = [rec.value(c) for c in rot]
+                    defects.append(orthogonality_defect((r[0:3], r[3:6], r[6:9])))
+                expected.append("%.3e" % max(defects))
+            assert rows[name] == expected
+        if scenario == "pendulum_embedded":
+            assert rows["explicit_euler"] == ["explicit_euler", "nan", "nan"]
+        if scenario == "kepler":
+            assert rows["implicit_euler"] == 133
 
 
 class TestCli:
@@ -517,7 +600,7 @@ class TestCli:
         )
         assert code == 0
 
-    def test_usage_error_exit_code(self, tmp_path, capsys):
+    def test_usage_error_exit_code(self, tmp_path, capsys, monkeypatch):
         code = cli.main(
             [
                 "run", "--scenario", "rigidbody", "--integrator", "stormer_verlet",
@@ -526,7 +609,8 @@ class TestCli:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
-        # a one-step compare has no deviation to report
+        # a one-step compare has no deviation to report, and says so before any fork
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("compare forked"))
         code = cli.main(
             [
                 "compare", "--scenario", "rigidbody", "--integrators", "lp_exp",
@@ -556,9 +640,12 @@ class TestCli:
         "scenario, integrator, dt, params, cause",
         [
             ("kepler", "implicit_euler", "50.0", (), "no convergence"),
-            # the Rotation check fails inside the step loop: a spin about a principal
-            # axis keeps Pi finite while the quaternion stages overflow
-            ("rigidbody", "quat_rk4", "0.01", ("Pi0=1e160,0,0",), "rotation matrix"),
+            # a spin about a principal axis keeps Pi finite while the quaternion
+            # stages overflow; the rate is named, not the Rotation check it trips
+            (
+                "rigidbody", "quat_rk4", "0.01", ("Pi0=1e160,0,0",),
+                "step 1: ValueError: quat_rk4: the step's |dt*Omega| = 1e+158 overflowed",
+            ),
             # Pi overflows in the RK4 stages and is named, not the attitude it spoils
             ("rigidbody", "quat_rk4", "1e3", (), "step 2: ValueError: Pi = (1.28914"),
             # Newton converges to a spurious root past the exp chart
@@ -586,7 +673,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "kepler_no_convergence", "rotation_check", "pi_overflow", "exp_out_of_chart",
+            "kepler_no_convergence", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
             "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
         ],
     )

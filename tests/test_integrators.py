@@ -1170,6 +1170,26 @@ class TestBaselineOracles:
         cause = info.value.__context__
         assert ("raised", type(cause), str(cause)) == old
 
+    @pytest.mark.parametrize("name", sorted(_BASELINES))
+    @pytest.mark.parametrize("heavy", [False, True])
+    def test_overflowing_attitude_names_the_rate(self, name, heavy):
+        # a spin about a principal axis (with Gamma and chi along it) keeps Pi
+        # finite while the attitude stages overflow: the step names dt |Omega|
+        # in place of the attitude check or the |u| = inf, and keeps that error
+        params, state = self._start(
+            heavy, _STOCK_INERTIA, (1e160, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 9.81
+        )
+        step, reference = _BASELINES[name]
+        (old,) = _trajectory(reference, params, state, 0.01, 1)
+        assert old[:2] == ("raised", NotRotation if name == "quat_rk4" else OutOfChart)
+        with pytest.raises(ValueError) as info:
+            step(params, state, 0.01)
+        assert str(info.value) == (
+            f"{name}: the step's |dt*Omega| = 1e+158 overflowed the attitude in its RK4 stages"
+        )
+        cause = info.value.__context__
+        assert ("raised", type(cause), str(cause)) == old
+
 
 # --- bitwise oracles for the flat steps --------------------------------------------
 #
