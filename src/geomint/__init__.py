@@ -35,7 +35,6 @@ from .errors import (
     UnknownKey,
 )
 from .geometry import (
-    FlatRetraction,
     LocalSecondOrderPoint,
     TrivializedRetraction,
     alpha_local,
@@ -105,7 +104,6 @@ from .so3 import (
     Ad_star_so3,
     Q_mat,
     Rotation,
-    SE3Element,
     ad_star_so3,
     cay_inv_so3,
     cay_so3,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import integrators as gi
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .geometry import cayley_retraction, exp_retraction
 from .so3 import Rotation, Vec3, norm
+from .value import Value, store
 
 FLAT_SCENARIOS = ("harmonic", "kepler", "pendulum_embedded")
 GROUP_SCENARIOS = ("rigidbody", "heavytop", "quadrotor_hover")
@@ -141,14 +141,17 @@ _COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(Value):
     """One row of a run: step index, time, then the scenario's columns."""
 
-    step: int
-    t: float
-    values: tuple[float, ...]
-    columns: tuple[str, ...] = field(repr=False)
+    __slots__ = _fields = ("step", "t", "values", "columns")
+    _hidden = ("columns",)
+
+    def __init__(self, step: int, t: float, values: tuple[float, ...], columns: tuple[str, ...]):
+        store(self, "step", step)
+        store(self, "t", t)
+        store(self, "values", values)
+        store(self, "columns", columns)
 
     def value(self, column: str) -> float:
         try:
@@ -162,47 +165,57 @@ class TrajectoryRecord:
         return self.values[idx - 2]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated run description: scenario, integrator, dt, steps, theta, params."""
+class ScenarioConfig(Value):
+    """Validated run description: scenario, integrator, dt, steps, theta, params.
 
-    scenario: str
-    integrator: str
-    dt: float
-    steps: int
-    theta: float = 0.5
-    params: dict = field(default_factory=dict)
+    ``params`` holds every model parameter of the scenario: the given ones
+    over the scenario's defaults.
+    """
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise UnknownKey(f"unknown scenario {self.scenario!r}")
-        if self.integrator not in INTEGRATORS:
-            raise UnknownKey(f"unknown integrator {self.integrator!r}")
-        if self.integrator not in COMPAT[self.scenario]:
-            raise IncompatiblePair(self.scenario, self.integrator)
-        for key in ("dt", "theta"):
-            value = getattr(self, key)
+    __slots__ = _fields = ("scenario", "integrator", "dt", "steps", "theta", "params")
+
+    def __init__(
+        self,
+        scenario: str,
+        integrator: str,
+        dt: float,
+        steps: int,
+        theta: float = 0.5,
+        params: dict | None = None,
+    ):
+        if scenario not in SCENARIOS:
+            raise UnknownKey(f"unknown scenario {scenario!r}")
+        if integrator not in INTEGRATORS:
+            raise UnknownKey(f"unknown integrator {integrator!r}")
+        if integrator not in COMPAT[scenario]:
+            raise IncompatiblePair(scenario, integrator)
+        for key, value in (("dt", dt), ("theta", theta)):
             # a list or a word from a config file lands here too
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} must be a number, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
+        dt, theta = float(dt), float(theta)
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
+        if steps < 1:
             raise ValueError("steps must be at least 1")
-        if not 0.0 <= self.theta <= 1.0:
+        if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        merged = dict(_DEFAULTS[self.scenario]["params"])
-        for key, value in self.params.items():
+        merged = dict(_DEFAULTS[scenario]["params"])
+        for key, value in (params or {}).items():
             if key not in merged:
-                raise UnknownKey(f"unknown key {key!r} for scenario {self.scenario!r}")
+                raise UnknownKey(f"unknown key {key!r} for scenario {scenario!r}")
             if key == "project" and isinstance(value, bool):
                 value = float(value)
             _check_param(key, merged[key], value)
             merged[key] = value
-        object.__setattr__(self, "params", merged)
+        store(self, "scenario", scenario)
+        store(self, "integrator", integrator)
+        store(self, "dt", dt)
+        store(self, "steps", steps)
+        store(self, "theta", theta)
+        store(self, "params", merged)
 
 
 def _check_param(key: str, default, value) -> None:
@@ -564,14 +577,16 @@ def read_csv(path: str) -> list[TrajectoryRecord]:
 
 # --- drift statistics ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DriftSummary:
+class DriftSummary(Value):
     """Initial/final values, max absolute deviation, least-squares slope vs time."""
 
-    initial: float
-    final: float
-    max_abs_dev: float
-    linear_slope: float
+    __slots__ = _fields = ("initial", "final", "max_abs_dev", "linear_slope")
+
+    def __init__(self, initial: float, final: float, max_abs_dev: float, linear_slope: float):
+        store(self, "initial", initial)
+        store(self, "final", final)
+        store(self, "max_abs_dev", max_abs_dev)
+        store(self, "linear_slope", linear_slope)
 
 
 def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSummary:

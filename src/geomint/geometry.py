@@ -33,11 +33,11 @@ forms are pure (signed) permutations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import so3
 from .errors import DimMismatch, GeomintError, OutOfChart
 from .so3 import Mat3, Rotation, Vec3
+from .value import Value, store
 
 EXP_TAG = "exp"
 CAYLEY_TAG = "cayley"
@@ -45,24 +45,7 @@ CAYLEY_TAG = "cayley"
 
 # --- retractions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlatRetraction:
-    """R(x, v) = x + v on R^n."""
-
-    dimension: int
-
-    def retract(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != (self.dimension,) or v.shape != (self.dimension,):
-            raise DimMismatch(f"expected vectors of dimension {self.dimension}")
-        return x + v
-
-
-@dataclass(frozen=True)
-class TrivializedRetraction:
+class TrivializedRetraction(Value):
     """Local diffeomorphism tau: R^3 -> SO(3), named by its tag.
 
     ``tag`` is ``"exp"`` for the matrix exponential or ``"cayley"`` for the
@@ -73,11 +56,12 @@ class TrivializedRetraction:
     wraps it in the checked Rotation.
     """
 
-    tag: str
+    __slots__ = _fields = ("tag",)
 
-    def __post_init__(self):
-        if self.tag not in (EXP_TAG, CAYLEY_TAG):
-            raise ValueError(f"retraction tag {self.tag!r} is neither 'exp' nor 'cayley'")
+    def __init__(self, tag: str):
+        if tag not in (EXP_TAG, CAYLEY_TAG):
+            raise ValueError(f"retraction tag {tag!r} is neither 'exp' nor 'cayley'")
+        store(self, "tag", tag)
 
     def tau_matrix(self, xi: Vec3) -> Mat3:
         if self.tag == EXP_TAG:
@@ -216,29 +200,25 @@ def triv_disc_inverse_right(
 
 # --- local second-order maps ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalSecondOrderPoint:
+class LocalSecondOrderPoint(Value):
     """Coordinate tuple on an iterated (co)tangent bundle.
 
     Slots read (q, p_or_v, qdot, pdot_or_vdot); all four share one dimension.
     """
 
-    q: np.ndarray
-    p_or_v: np.ndarray
-    qdot: np.ndarray
-    pdot_or_vdot: np.ndarray
+    __slots__ = _fields = ("q", "p_or_v", "qdot", "pdot_or_vdot")
 
-    def __post_init__(self):
+    def __init__(
+        self, q: np.ndarray, p_or_v: np.ndarray, qdot: np.ndarray, pdot_or_vdot: np.ndarray
+    ):
         import numpy as np
 
-        arrays = [np.asarray(a, dtype=float) for a in (self.q, self.p_or_v, self.qdot, self.pdot_or_vdot)]
+        arrays = [np.asarray(a, dtype=float) for a in (q, p_or_v, qdot, pdot_or_vdot)]
         n = arrays[0].shape
         if any(a.shape != n for a in arrays):
             raise DimMismatch("all four slots must share one dimension")
-        object.__setattr__(self, "q", arrays[0])
-        object.__setattr__(self, "p_or_v", arrays[1])
-        object.__setattr__(self, "qdot", arrays[2])
-        object.__setattr__(self, "pdot_or_vdot", arrays[3])
+        for name, array in zip(self._fields, arrays):
+            store(self, name, array)
 
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.q, self.p_or_v, self.qdot, self.pdot_or_vdot

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import so3
 from .errors import NoConvergence, NotRotation, OutOfChart
@@ -98,6 +97,7 @@ from .so3 import (
     vec_add,
     vec_scale,
 )
+from .value import Value, store
 
 __all__ = [
     "RigidBodyState",
@@ -121,67 +121,62 @@ __all__ = [
 
 # --- state types -----------------------------------------------------------------
 
-def _check_vecs(state, names: tuple[str, ...]) -> None:
-    """Store each named field of a frozen state as a Vec3; reject non-finite entries."""
-    for name in names:
-        value = so3.as_vec3(getattr(state, name))
-        if not so3.vec_is_finite(value):
-            raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(state, name, value)
+def _finite_vec(name: str, value) -> Vec3:
+    """value as a Vec3; ValueError naming the field if an entry is not finite."""
+    value = so3.as_vec3(value)
+    if not so3.vec_is_finite(value):
+        raise ValueError(f"{name} has non-finite entries")
+    return value
 
 
-@dataclass(frozen=True, slots=True)
-class RigidBodyState:
+class RigidBodyState(Value):
     """Attitude R and body angular momentum Pi (kg m^2/s)."""
 
-    R: Rotation
-    Pi: Vec3
+    __slots__ = _fields = ("R", "Pi")
 
-    def __post_init__(self):
-        _check_vecs(self, ("Pi",))
+    def __init__(self, R: Rotation, Pi: Vec3):
+        store(self, "R", R)
+        store(self, "Pi", _finite_vec("Pi", Pi))
 
 
-@dataclass(frozen=True, slots=True)
-class HeavyTopState:
+class HeavyTopState(Value):
     """Attitude R, auxiliary translation x, momentum Pi, advected vertical Gamma.
 
     Any finite |Gamma| is a state (the RK4 baselines let it drift); the
     Lie-Poisson heavy-top steps check |Gamma| = 1 on the state they return.
     """
 
-    R: Rotation
-    x: Vec3
-    Pi: Vec3
-    Gamma: Vec3
+    __slots__ = _fields = ("R", "x", "Pi", "Gamma")
 
-    def __post_init__(self):
-        _check_vecs(self, ("x", "Pi", "Gamma"))
+    def __init__(self, R: Rotation, x: Vec3, Pi: Vec3, Gamma: Vec3):
+        store(self, "R", R)
+        store(self, "x", _finite_vec("x", x))
+        store(self, "Pi", _finite_vec("Pi", Pi))
+        store(self, "Gamma", _finite_vec("Gamma", Gamma))
 
 
-@dataclass(frozen=True, slots=True)
-class QuadrotorState:
+class QuadrotorState(Value):
     """Attitude R, body angular momentum Pi, position q (m), linear momentum p."""
 
-    R: Rotation
-    Pi: Vec3
-    q: Vec3
-    p: Vec3
+    __slots__ = _fields = ("R", "Pi", "q", "p")
 
-    def __post_init__(self):
-        _check_vecs(self, ("Pi", "q", "p"))
+    def __init__(self, R: Rotation, Pi: Vec3, q: Vec3, p: Vec3):
+        store(self, "R", R)
+        store(self, "Pi", _finite_vec("Pi", Pi))
+        store(self, "q", _finite_vec("q", q))
+        store(self, "p", _finite_vec("p", p))
 
 
-@dataclass(frozen=True, slots=True)
-class QuadrotorInput:
+class QuadrotorInput(Value):
     """Net body moment M (N m) and total thrust F (N)."""
 
-    M: Vec3 = (0.0, 0.0, 0.0)
-    F: float = 0.0
+    __slots__ = _fields = ("M", "F")
 
-    def __post_init__(self):
-        _check_vecs(self, ("M",))
-        if not math.isfinite(self.F):
+    def __init__(self, M: Vec3 = (0.0, 0.0, 0.0), F: float = 0.0):
+        store(self, "M", _finite_vec("M", M))
+        if not math.isfinite(F):
             raise ValueError("F is not finite")
+        store(self, "F", F)
 
 
 # --- flat discretization-map integrators --------------------------------------------

@@ -15,26 +15,26 @@ orbit to a plane, so the state is (r, rdot) in R^4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import so3
 from .errors import DegenerateProjection, SingularMatrix, SingularOrigin
 from .so3 import Mat3, Vec3
+from .value import Value, store
 
 
 # --- harmonic oscillator --------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicOscillatorParams:
+class HarmonicOscillatorParams(Value):
     """Spring constant k (N/m) and mass m (kg)."""
 
-    k: float = 1.0
-    m: float = 1.0
+    __slots__ = _fields = ("k", "m")
 
-    def __post_init__(self):
-        if self.k <= 0.0 or self.m <= 0.0:
+    def __init__(self, k: float = 1.0, m: float = 1.0):
+        if k <= 0.0 or m <= 0.0:
             raise ValueError("k and m must be positive")
+        store(self, "k", k)
+        store(self, "m", m)
 
 
 def ho_vectorfield(params: HarmonicOscillatorParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -74,15 +74,15 @@ def ho_energy(params: HarmonicOscillatorParams) -> Callable[[float, float], floa
 
 # --- Kepler ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KeplerParams:
+class KeplerParams(Value):
     """Effective gravitational parameter mu = G(m1 + m2) (m^3/s^2)."""
 
-    mu: float = 1.0
+    __slots__ = _fields = ("mu",)
 
-    def __post_init__(self):
-        if self.mu <= 0.0:
+    def __init__(self, mu: float = 1.0):
+        if mu <= 0.0:
             raise ValueError("mu must be positive")
+        store(self, "mu", mu)
 
 
 def kepler_vectorfield(params: KeplerParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -147,7 +147,7 @@ def kepler_energy(params: KeplerParams) -> Callable[[np.ndarray], float]:
     def energy(x: np.ndarray) -> float:
         r = math.hypot(x[0], x[1])
         if r == 0.0:
-            raise SingularOrigin("Kepler energy at r = 0")
+            raise SingularOrigin("Kepler state at r = 0: energy undefined")
         return 0.5 * (x[2] * x[2] + x[3] * x[3]) - mu / r
 
     return energy
@@ -164,16 +164,16 @@ def kepler_angmom(params: KeplerParams) -> Callable[[np.ndarray], float]:
 
 # --- planar pendulum ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PendulumParams:
+class PendulumParams(Value):
     """ml2 = m l^2 (kg m^2) and mgl = m g l (N m)."""
 
-    ml2: float = 1.0
-    mgl: float = 1.0
+    __slots__ = _fields = ("ml2", "mgl")
 
-    def __post_init__(self):
-        if self.ml2 <= 0.0 or self.mgl <= 0.0:
+    def __init__(self, ml2: float = 1.0, mgl: float = 1.0):
+        if ml2 <= 0.0 or mgl <= 0.0:
             raise ValueError("ml2 and mgl must be positive")
+        store(self, "ml2", ml2)
+        store(self, "mgl", mgl)
 
 
 def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,16 +266,16 @@ def _validated_inertia(inertia) -> tuple[Mat3, Mat3]:
         raise ValueError(f"inertia matrix {mat} cannot be inverted: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RigidBodyParams:
-    """Body inertia matrix (kg m^2), symmetric positive definite."""
+class RigidBodyParams(Value):
+    """Body inertia matrix (kg m^2), symmetric positive definite; its inverse is inertia_inv."""
 
-    inertia: Mat3
+    __slots__ = ("inertia", "inertia_inv")
+    _fields = ("inertia",)
 
-    def __post_init__(self):
-        mat, inv = _validated_inertia(self.inertia)
-        object.__setattr__(self, "inertia", mat)
-        object.__setattr__(self, "inertia_inv", inv)
+    def __init__(self, inertia: Mat3):
+        mat, inv = _validated_inertia(inertia)
+        store(self, "inertia", mat)
+        store(self, "inertia_inv", inv)
 
     @staticmethod
     def from_diag(i1: float, i2: float, i3: float) -> "RigidBodyParams":
@@ -284,44 +284,44 @@ class RigidBodyParams:
         )
 
 
-@dataclass(frozen=True)
-class HeavyTopParams:
+class HeavyTopParams(Value):
     """Inertia, mass m (kg), gravity g (m/s^2), pivot-to-center offset chi (m)."""
 
-    inertia: Mat3
-    m: float = 1.0
-    g: float = 9.81
-    chi: Vec3 = (0.0, 0.0, 1.0)
+    __slots__ = ("inertia", "m", "g", "chi", "inertia_inv")
+    _fields = ("inertia", "m", "g", "chi")
 
-    def __post_init__(self):
-        mat, inv = _validated_inertia(self.inertia)
-        object.__setattr__(self, "inertia", mat)
-        object.__setattr__(self, "inertia_inv", inv)
-        object.__setattr__(self, "chi", so3.as_vec3(self.chi))
-        if self.m <= 0.0 or self.g <= 0.0:
+    def __init__(self, inertia: Mat3, m: float = 1.0, g: float = 9.81, chi: Vec3 = (0.0, 0.0, 1.0)):
+        mat, inv = _validated_inertia(inertia)
+        chi = so3.as_vec3(chi)
+        if m <= 0.0 or g <= 0.0:
             raise ValueError("m and g must be positive")
-        if not so3.vec_is_finite(self.chi):
+        if not so3.vec_is_finite(chi):
             raise ValueError("chi has non-finite entries")
+        store(self, "inertia", mat)
+        store(self, "m", m)
+        store(self, "g", g)
+        store(self, "chi", chi)
+        store(self, "inertia_inv", inv)
 
 
-@dataclass(frozen=True)
-class QuadrotorParams:
+class QuadrotorParams(Value):
     """Inertia, total mass m (kg), gravity g (m/s^2).
 
     g = 0 is admitted so the free-drift limit (decoupled rotation plus
     ballistic translation) can be exercised directly.
     """
 
-    inertia: Mat3
-    m: float = 1.0
-    g: float = 9.81
+    __slots__ = ("inertia", "m", "g", "inertia_inv")
+    _fields = ("inertia", "m", "g")
 
-    def __post_init__(self):
-        mat, inv = _validated_inertia(self.inertia)
-        object.__setattr__(self, "inertia", mat)
-        object.__setattr__(self, "inertia_inv", inv)
-        if self.m <= 0.0 or self.g < 0.0:
+    def __init__(self, inertia: Mat3, m: float = 1.0, g: float = 9.81):
+        mat, inv = _validated_inertia(inertia)
+        if m <= 0.0 or g < 0.0:
             raise ValueError("m must be positive and g nonnegative")
+        store(self, "inertia", mat)
+        store(self, "m", m)
+        store(self, "g", g)
+        store(self, "inertia_inv", inv)
 
 
 # --- rigid body and heavy top observers ----------------------------------------------

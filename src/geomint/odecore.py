@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import GeomintError, NoConvergence, SingularJacobian
+from .value import Value, store
 
 # numpy is imported inside the functions that use it, so that importing geomint
 # never loads it; hence the string annotations.  A field takes a stack of points
@@ -49,27 +49,26 @@ NEWTON_MAX_ITER = 50
 FD_STEP = 1e-7
 
 
-@dataclass(frozen=True)
-class ButcherTableau:
+class ButcherTableau(Value):
     """Runge-Kutta coefficients (a_ij, b_i); square a, len(b) stages."""
 
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ("a", "b", "_explicit")
+    _fields = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         import numpy as np
 
-        a = np.atleast_2d(np.array(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        a = np.atleast_2d(np.array(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"stage matrix must be square, got {a.shape}")
         if b.shape != (a.shape[0],):
             raise ValueError("len(b) must equal the stage count")
         # a is a read-only copy, so the explicit flag computed here stays true
         a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_explicit", bool(np.all(np.triu(a) == 0.0)))
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "_explicit", bool(np.all(np.triu(a) == 0.0)))
 
     @property
     def stages(self) -> int:
@@ -79,22 +78,19 @@ class ButcherTableau:
         return self._explicit
 
 
-@dataclass(frozen=True)
-class PartitionedTableau:
+class PartitionedTableau(Value):
     """Coefficient pair (a, b) for q-stages and (a_hat, b_hat) for p-stages."""
 
-    a: np.ndarray
-    b: np.ndarray
-    a_hat: np.ndarray
-    b_hat: np.ndarray
+    __slots__ = ("a", "b", "a_hat", "b_hat", "_columns")
+    _fields = ("a", "b", "a_hat", "b_hat")
 
-    def __post_init__(self):
+    def __init__(self, a: np.ndarray, b: np.ndarray, a_hat: np.ndarray, b_hat: np.ndarray):
         import numpy as np
 
-        a = np.atleast_2d(np.array(self.a, dtype=float))
-        b = np.atleast_1d(np.array(self.b, dtype=float))
-        ah = np.atleast_2d(np.array(self.a_hat, dtype=float))
-        bh = np.atleast_1d(np.array(self.b_hat, dtype=float))
+        a = np.atleast_2d(np.array(a, dtype=float))
+        b = np.atleast_1d(np.array(b, dtype=float))
+        ah = np.atleast_2d(np.array(a_hat, dtype=float))
+        bh = np.atleast_1d(np.array(b_hat, dtype=float))
         s = len(b)
         if a.shape != (s, s) or ah.shape != (s, s) or bh.shape != (s,):
             raise ValueError("inconsistent partitioned tableau dimensions")
@@ -103,11 +99,11 @@ class PartitionedTableau:
         columns = tuple(np.array([a[:, j], ah[:, j]])[:, :, None] for j in range(s))
         for arr in (a, b, ah, bh, *columns):
             arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a_hat", ah)
-        object.__setattr__(self, "b_hat", bh)
-        object.__setattr__(self, "_columns", columns)
+        store(self, "a", a)
+        store(self, "b", b)
+        store(self, "a_hat", ah)
+        store(self, "b_hat", bh)
+        store(self, "_columns", columns)
 
     @property
     def stages(self) -> int:

@@ -50,9 +50,8 @@ Numerical notes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import NearPiRotation, NotRotation, NotSkew, SingularCayley, SingularMatrix
+from .value import Value, store
 
 Vec3 = tuple[float, float, float]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -488,18 +487,22 @@ def Ad_star_so3(r: "Rotation", pi: Vec3) -> Vec3:
     return mat_T_vec(r.m, pi)
 
 
-# --- group element types -----------------------------------------------------
+# --- the group element type -----------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Rotation:
+class Rotation(Value):
     """Element of SO(3), constructor-checked.
 
     Requires ||m^T m - I||_F <= 1e-9 and |det(m) - 1| <= 1e-9; integrator
     steps return Rotations that satisfy these bounds without any
-    reorthogonalization pass.
+    reorthogonalization pass.  The check is ``__post_init__``, looked up on
+    the class, so that a profiler can wrap it.
     """
 
-    m: Mat3
+    __slots__ = _fields = ("m",)
+
+    def __init__(self, m: Mat3):
+        store(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.m
@@ -529,18 +532,6 @@ class Rotation:
 
     def apply_transpose(self, v: Vec3) -> Vec3:
         return mat_T_vec(self.m, v)
-
-
-@dataclass(frozen=True, slots=True)
-class SE3Element:
-    """Rotation plus translation, the semidirect-product group element."""
-
-    rot: Rotation
-    trans: Vec3
-
-    def __post_init__(self):
-        if not vec_is_finite(self.trans):
-            raise ValueError("translation has non-finite entries")
 
 
 def orthogonality_defect_mat(m: Mat3) -> float:

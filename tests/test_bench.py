@@ -838,35 +838,43 @@ class TestCli:
             assert not out.exists()
 
     def test_rotational_runs_never_import_numpy(self, tmp_path):
-        # a fresh interpreter, because this one has numpy loaded already
+        # a fresh interpreter, because this one has numpy loaded already; the
+        # value types are plain classes, so dataclasses and inspect stay out too
         script = textwrap.dedent(
             """
             import sys
             from geomint import bench, cli
 
+            def unloaded(where):
+                for name in ("numpy", "dataclasses", "inspect"):
+                    assert name not in sys.modules, f"{where} loaded {name}"
+
             out = sys.argv[1]
-            assert "numpy" not in sys.modules, "importing geomint.cli loaded numpy"
+            unloaded("importing geomint.cli")
             for scenario in bench.GROUP_SCENARIOS:
                 for integrator in bench.COMPAT[scenario]:
                     argv = ["run", "--scenario", scenario, "--integrator", integrator,
                             "--steps", "3", "--out", out]
                     assert cli.main(argv) == 0, argv
-                    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+                    unloaded(argv)
             for scenario in ("rigidbody", "heavytop"):
                 argv = ["compare", "--scenario", scenario,
                         "--integrators", ",".join(bench.COMPAT[scenario]),
                         "--steps", "3"]
                 assert cli.main(argv) == 0, argv
+                unloaded(argv)
                 # compare runs in forked workers, whose imports this process never
                 # sees, so each of its rows is also made here
                 for integrator in bench.COMPAT[scenario]:
                     bench._compare_row(bench.default_config(scenario, integrator, steps=3))
-                    assert "numpy" not in sys.modules, f"{scenario} {integrator} loaded numpy"
-            # a flat run does load it, so the checks above are not vacuous
+                    unloaded(f"{scenario} {integrator}")
+            # a flat run does load numpy, so the checks above are not vacuous;
+            # numpy itself imports inspect, but nothing imports dataclasses
             argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
                     "--steps", "1", "--out", out]
             assert cli.main(argv) == 0, argv
             assert "numpy" in sys.modules, "the Kepler run did not load numpy"
+            assert "dataclasses" not in sys.modules, "the Kepler run loaded dataclasses"
             """
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(geomint.__file__)))

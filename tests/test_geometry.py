@@ -10,7 +10,6 @@ from geomint import geometry as geo
 from geomint import so3
 from geomint.errors import DimMismatch, OutOfChart
 from geomint.geometry import (
-    FlatRetraction,
     LocalSecondOrderPoint,
     alpha_local,
     alpha_local_inverse,
@@ -33,30 +32,6 @@ from geomint.so3 import Rotation, exp_so3, log_so3, mat_vec, vec_scale
 
 def _rand_vec(rng, scale=1.0):
     return tuple(rng.uniform(-scale, scale) for _ in range(3))
-
-
-class TestFlatRetraction:
-    def test_retract(self):
-        ret = FlatRetraction(3)
-        out = ret.retract(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, -1.0]))
-        assert np.array_equal(out, [1.5, 2.0, 2.0])
-
-    def test_zero_velocity_fixes_point(self):
-        ret = FlatRetraction(2)
-        x = np.array([0.3, -0.7])
-        assert np.array_equal(ret.retract(x, np.zeros(2)), x)
-
-    def test_first_order_tangency_fd(self):
-        ret = FlatRetraction(4)
-        rng = np.random.default_rng(0)
-        x, v = rng.standard_normal(4), rng.standard_normal(4)
-        h = 1e-5
-        fd = (ret.retract(x, h * v) - ret.retract(x, -h * v)) / (2.0 * h)
-        assert np.max(np.abs(fd - v)) < 1e-9
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            FlatRetraction(3).retract(np.zeros(3), np.zeros(2))
 
 
 class TestFlatDiscretize:

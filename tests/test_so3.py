@@ -427,10 +427,6 @@ class TestRotationType:
             with pytest.raises(ValueError, match="non-finite"):
                 Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, bad, 1.0)))
 
-    def test_se3_element_checks_translation(self):
-        with pytest.raises(ValueError):
-            so3.SE3Element(rot=Rotation.identity(), trans=(math.inf, 0.0, 0.0))
-
 
 def _orthogonality_defect_reference(m):
     """Loop form of ||m^T m - I||_F, in the kernel's accumulation order."""
