@@ -3,9 +3,9 @@
 The package splits into:
 
 * :mod:`geomint.so3` -- closed-form rotation-group primitives (hat/vee,
-  exp/log, Cayley, logarithmic-derivative duals, coadjoint actions).
-* :mod:`geomint.geometry` -- retraction and discretization maps, flat and
-  left-trivialized, plus the local second-order coordinate maps.
+  exp/log, Cayley, logarithmic-derivative duals and the rotation type).
+* :mod:`geomint.geometry` -- the two trivialized retractions and the
+  closed-form inverses of the flat and left-trivialized discretization maps.
 * :mod:`geomint.odecore` -- classical one-step methods: Euler variants,
   symplectic Euler, (partitioned) Runge-Kutta, coefficient checkers, Newton.
 * :mod:`geomint.integrators` -- the geometric schemes: the flat theta
@@ -35,21 +35,12 @@ from .errors import (
     UnknownKey,
 )
 from .geometry import (
-    LocalSecondOrderPoint,
     TrivializedRetraction,
-    alpha_local,
-    alpha_local_inverse,
-    beta_local,
-    beta_local_inverse,
-    canonical_flip,
     cayley_retraction,
     exp_retraction,
-    flat_discretize,
     flat_discretize_inverse,
     triv_disc_inverse_left,
     triv_disc_inverse_right,
-    triv_discretize,
-    triv_discretize_inverse,
 )
 from .integrators import (
     HeavyTopState,
@@ -82,7 +73,6 @@ from .mechanics import (
     kepler_vectorfield,
     orthogonality_defect,
     pendulum_embedded_vf,
-    pendulum_vf,
     project_to_cylinder,
     rigidbody_casimir,
     rigidbody_energy,
@@ -101,10 +91,8 @@ from .odecore import (
     symplectic_euler_b_step,
 )
 from .so3 import (
-    Ad_star_so3,
     Q_mat,
     Rotation,
-    ad_star_so3,
     cay_inv_so3,
     cay_so3,
     dcay_dual_matrix,

@@ -13,26 +13,20 @@ diffeomorphism tau from the algebra to the group,
 
 A TrivializedRetraction is one of two values, named by its tag: the matrix
 exponential ("exp") or the scaled Cayley transform tau(xi) = cay_so3(xi/2)
-("cayley"); any other tag raises ValueError.  tau (as a raw matrix in
-tau_matrix, checked in tau), tau_inv and the dual matrix are its methods.
-The Lie-Poisson and quadrotor steps and their kernels take one of the two
-values, and the two heavy-top steps bind one each.  The half argument
-makes the Cayley retraction first-order tangent (cay_so3 itself rotates by
-2*atan|v|, so the unscaled map would double every velocity at the origin and
-the induced integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
+("cayley"); any other tag raises ValueError.  tau (as a raw matrix,
+tau_matrix), tau_inv and the dual matrix are its methods.  The Lie-Poisson
+and quadrotor steps and their kernels take one of the two values, and the
+two heavy-top steps bind one each.  The half argument makes the Cayley
+retraction first-order tangent (cay_so3 itself rotates by 2*atan|v|, so the
+unscaled map would double every velocity at the origin and the induced
+integrators would run at 4x speed).  Its inverse is 2*cay_inv_so3.
 
-Both discretization maps invert in closed form, the trivialized one because
-its two legs turn about the same axis xi.
-
-The module also houses the local-coordinate second-order maps: the canonical
-flip (q, qdot, dq, dqdot) -> (q, dq, qdot, dqdot) on TTQ and the bundle
-isomorphisms alpha: TT*Q -> T*TQ and beta: TT*Q -> T*T*Q, whose coordinate
-forms are pure (signed) permutations.
+The module defines the inverse maps only, each in closed form: an inverse
+takes one step of an integrator back to the (x, v), or the (g, xi) and
+momenta, that induced it, and so checks the whole scheme.
 """
 
 from __future__ import annotations
-
-import math
 
 from . import so3
 from .errors import DimMismatch, GeomintError, OutOfChart
@@ -52,8 +46,7 @@ class TrivializedRetraction(Value):
     scaled Cayley transform; any other tag raises ValueError.  tau(0) = I and
     tau is first-order tangent, so left translation R^L(g, xi) = g tau(xi) is
     a left-trivialized retraction.  ``tau_matrix`` is the one definition of
-    tau, as the raw Mat3 that the integrator kernels compose further; ``tau``
-    wraps it in the checked Rotation.
+    tau, as the raw Mat3 that the integrator kernels compose further.
     """
 
     __slots__ = _fields = ("tag",)
@@ -67,9 +60,6 @@ class TrivializedRetraction(Value):
         if self.tag == EXP_TAG:
             return so3._exp_matrix(xi)
         return so3._cay_matrix(so3.vec_scale(xi, 0.5))
-
-    def tau(self, xi: Vec3) -> Rotation:
-        return Rotation(self.tau_matrix(xi))
 
     def tau_inv(self, r: Rotation) -> Vec3:
         if self.tag == EXP_TAG:
@@ -96,17 +86,6 @@ def cayley_retraction() -> TrivializedRetraction:
 
 # --- flat discretization maps -------------------------------------------------
 
-def flat_discretize(x, v, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """D(x, v) = (x - theta v, x + (1 - theta) v)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise DimMismatch(f"shapes {x.shape} and {v.shape} differ")
-    return x - theta * v, x + (1.0 - theta) * v
-
-
 def flat_discretize_inverse(a, b, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form inverse: v = b - a and x = (1 - theta) a + theta b."""
     import numpy as np
@@ -120,15 +99,6 @@ def flat_discretize_inverse(a, b, theta: float) -> tuple[np.ndarray, np.ndarray]
 
 # --- trivialized discretization maps ------------------------------------------
 
-def triv_discretize(
-    g: Rotation, xi: Vec3, s: float, ret: TrivializedRetraction
-) -> tuple[Rotation, Rotation]:
-    """D^L(g, xi) = (g tau(-s xi), g tau((1-s) xi))."""
-    first = g.multiply(ret.tau(so3.vec_scale(xi, -s)))
-    second = g.multiply(ret.tau(so3.vec_scale(xi, 1.0 - s)))
-    return first, second
-
-
 def _relative_chart(
     g1: Rotation, g2: Rotation, ret: TrivializedRetraction
 ) -> tuple[Mat3, Vec3]:
@@ -138,26 +108,6 @@ def _relative_chart(
         return w, ret.tau_inv(Rotation(w))
     except GeomintError as exc:
         raise OutOfChart(str(exc)) from exc
-
-
-def triv_discretize_inverse(
-    g1: Rotation, g2: Rotation, s: float, ret: TrivializedRetraction
-) -> tuple[Rotation, Vec3]:
-    """Recover (g, xi) from the pair (g tau(-s xi), g tau((1-s) xi)), in closed form.
-
-    M = g1^-1 g2 = tau(s xi) tau((1-s) xi) turns about xi; v = tau_inv(M).  For
-    exp, xi = v.  For Cayley (tau(y) turns by 2 atan(|y|/2)) the half-angle
-    tangents give |v| = |xi| / (1 - s(1-s)|xi|^2/4), whose root with
-    s(1-s)|xi|^2 < 4 is xi = 2 v / (1 + sqrt(1 + s(1-s)|v|^2)).  Raises
-    OutOfChart when M leaves the injectivity domain of tau_inv.
-    """
-    _, xi = _relative_chart(g1, g2, ret)
-    if ret.tag == CAYLEY_TAG:
-        root = math.sqrt(1.0 + s * (1.0 - s) * so3.dot(xi, xi))
-        xi = so3.vec_scale(xi, 2.0 / (1.0 + root))
-    # g = D1 tau(-s xi)^-1, and tau(-v)^-1 = tau(v) for these retractions
-    g = g1.multiply(ret.tau(so3.vec_scale(xi, s)))
-    return g, xi
 
 
 def triv_disc_inverse_left(
@@ -196,56 +146,3 @@ def triv_disc_inverse_right(
     nu = so3.mat_vec(ret.dual_matrix(xi), g_k1.apply_transpose(mu_k1))
     dmu = so3.vec_sub(mu_k1, mu_k)
     return (g_k, nu), (xi, dmu)
-
-
-# --- local second-order maps ---------------------------------------------------
-
-class LocalSecondOrderPoint(Value):
-    """Coordinate tuple on an iterated (co)tangent bundle.
-
-    Slots read (q, p_or_v, qdot, pdot_or_vdot); all four share one dimension.
-    """
-
-    __slots__ = _fields = ("q", "p_or_v", "qdot", "pdot_or_vdot")
-
-    def __init__(
-        self, q: np.ndarray, p_or_v: np.ndarray, qdot: np.ndarray, pdot_or_vdot: np.ndarray
-    ):
-        import numpy as np
-
-        arrays = [np.asarray(a, dtype=float) for a in (q, p_or_v, qdot, pdot_or_vdot)]
-        n = arrays[0].shape
-        if any(a.shape != n for a in arrays):
-            raise DimMismatch("all four slots must share one dimension")
-        for name, array in zip(self._fields, arrays):
-            store(self, name, array)
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.q, self.p_or_v, self.qdot, self.pdot_or_vdot
-
-
-def canonical_flip(p: LocalSecondOrderPoint) -> LocalSecondOrderPoint:
-    """(q, qdot, dq, dqdot) -> (q, dq, qdot, dqdot); an involution on TTQ."""
-    return LocalSecondOrderPoint(p.q, p.qdot, p.p_or_v, p.pdot_or_vdot)
-
-
-def alpha_local(p: LocalSecondOrderPoint) -> LocalSecondOrderPoint:
-    """(q, p, qdot, pdot) -> (q, qdot, pdot, p), the TT*Q -> T*TQ isomorphism."""
-    return LocalSecondOrderPoint(p.q, p.qdot, p.pdot_or_vdot, p.p_or_v)
-
-
-def alpha_local_inverse(p: LocalSecondOrderPoint) -> LocalSecondOrderPoint:
-    return LocalSecondOrderPoint(p.q, p.pdot_or_vdot, p.p_or_v, p.qdot)
-
-
-def beta_local(p: LocalSecondOrderPoint) -> LocalSecondOrderPoint:
-    """(q, p, qdot, pdot) -> (q, p, pdot, -qdot), the TT*Q -> T*T*Q map.
-
-    Applied to a differential tuple (q, p, dH/dq, dH/dp) the last two slots
-    become (dH/dp, -dH/dq): the canonical equations' right-hand side.
-    """
-    return LocalSecondOrderPoint(p.q, p.p_or_v, p.pdot_or_vdot, -p.qdot)
-
-
-def beta_local_inverse(p: LocalSecondOrderPoint) -> LocalSecondOrderPoint:
-    return LocalSecondOrderPoint(p.q, p.p_or_v, -p.pdot_or_vdot, p.qdot)

@@ -97,7 +97,7 @@ from .so3 import (
     vec_add,
     vec_scale,
 )
-from .value import Value, store
+from .value import Value, finite, store
 
 __all__ = [
     "RigidBodyState",
@@ -174,9 +174,7 @@ class QuadrotorInput(Value):
 
     def __init__(self, M: Vec3 = (0.0, 0.0, 0.0), F: float = 0.0):
         store(self, "M", _finite_vec("M", M))
-        if not math.isfinite(F):
-            raise ValueError("F is not finite")
-        store(self, "F", F)
+        store(self, "F", finite("F", F))
 
 
 # --- flat discretization-map integrators --------------------------------------------

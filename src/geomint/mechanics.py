@@ -1,10 +1,10 @@
 """Model zoo: benchmark vector fields and their invariant observers.
 
-Flat models (harmonic oscillator, planar Kepler, planar pendulum and its
-cylinder embedding) are expressed as numpy vector fields on a stack of states
-along the last axis, as odecore.VectorField describes; the rotational models
-(free rigid body, heavy top) expose energy and Casimir observers over plain
-3-tuples.
+Flat models (harmonic oscillator, planar Kepler, and the planar pendulum
+embedded in R^3 on its cylinder) are expressed as numpy vector fields on a
+stack of states along the last axis, as odecore.VectorField describes; the
+rotational models (free rigid body, heavy top) expose energy and Casimir
+observers over plain 3-tuples.
 
 Kepler runs in the planar reduced form: the two-body problem collapses to
 r'' = -mu r/|r|^3 with mu = G(m1 + m2) after splitting off the uniformly
@@ -20,7 +20,7 @@ from typing import Callable
 from . import so3
 from .errors import DegenerateProjection, SingularMatrix, SingularOrigin
 from .so3 import Mat3, Vec3
-from .value import Value, store
+from .value import Value, finite, store
 
 
 # --- harmonic oscillator --------------------------------------------------------
@@ -31,7 +31,7 @@ class HarmonicOscillatorParams(Value):
     __slots__ = _fields = ("k", "m")
 
     def __init__(self, k: float = 1.0, m: float = 1.0):
-        if k <= 0.0 or m <= 0.0:
+        if finite("k", k) <= 0.0 or finite("m", m) <= 0.0:
             raise ValueError("k and m must be positive")
         store(self, "k", k)
         store(self, "m", m)
@@ -80,7 +80,7 @@ class KeplerParams(Value):
     __slots__ = _fields = ("mu",)
 
     def __init__(self, mu: float = 1.0):
-        if mu <= 0.0:
+        if finite("mu", mu) <= 0.0:
             raise ValueError("mu must be positive")
         store(self, "mu", mu)
 
@@ -170,34 +170,10 @@ class PendulumParams(Value):
     __slots__ = _fields = ("ml2", "mgl")
 
     def __init__(self, ml2: float = 1.0, mgl: float = 1.0):
-        if ml2 <= 0.0 or mgl <= 0.0:
+        if finite("ml2", ml2) <= 0.0 or finite("mgl", mgl) <= 0.0:
             raise ValueError("ml2 and mgl must be positive")
         store(self, "ml2", ml2)
         store(self, "mgl", mgl)
-
-
-def pendulum_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Canonical form (theta, p) -> (p/ml2, -mgl sin theta)."""
-    import numpy as np
-
-    ml2, mgl = params.ml2, params.mgl
-    # math.sin on each row: np.sin is not bound to give the same bits
-    sin = np.frompyfunc(math.sin, 1, 1)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        xt = x.T
-        return np.array([xt[1] / ml2, -mgl * sin(xt[0])], dtype=float).T
-
-    return f
-
-
-def pendulum_energy(params: PendulumParams) -> Callable[[float, float], float]:
-    """H = p^2 / (2 ml2) - mgl cos theta."""
-
-    def energy(theta: float, p: float) -> float:
-        return 0.5 * p * p / params.ml2 - params.mgl * math.cos(theta)
-
-    return energy
 
 
 def pendulum_embedded_vf(params: PendulumParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -293,7 +269,7 @@ class HeavyTopParams(Value):
     def __init__(self, inertia: Mat3, m: float = 1.0, g: float = 9.81, chi: Vec3 = (0.0, 0.0, 1.0)):
         mat, inv = _validated_inertia(inertia)
         chi = so3.as_vec3(chi)
-        if m <= 0.0 or g <= 0.0:
+        if finite("m", m) <= 0.0 or finite("g", g) <= 0.0:
             raise ValueError("m and g must be positive")
         if not so3.vec_is_finite(chi):
             raise ValueError("chi has non-finite entries")
@@ -316,7 +292,7 @@ class QuadrotorParams(Value):
 
     def __init__(self, inertia: Mat3, m: float = 1.0, g: float = 9.81):
         mat, inv = _validated_inertia(inertia)
-        if m <= 0.0 or g < 0.0:
+        if finite("m", m) <= 0.0 or finite("g", g) < 0.0:
             raise ValueError("m must be positive and g nonnegative")
         store(self, "inertia", mat)
         store(self, "m", m)

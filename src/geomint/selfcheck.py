@@ -11,7 +11,6 @@ import random
 
 import numpy as np
 
-from . import geometry as geo
 from . import odecore as ode
 from . import so3
 from .integrators import cotangent_theta_step
@@ -116,30 +115,12 @@ def _check_symplectic_prk() -> bool:
     )
 
 
-def _check_local_maps() -> bool:
-    rng = np.random.default_rng(7)
-    pt = geo.LocalSecondOrderPoint(*(rng.standard_normal(4) for _ in range(4)))
-    twice = geo.canonical_flip(geo.canonical_flip(pt))
-    if not all(
-        np.array_equal(a, b) for a, b in zip(pt.as_tuple(), twice.as_tuple())
-    ):
-        return False
-    alpha_rt = geo.alpha_local_inverse(geo.alpha_local(pt))
-    beta_rt = geo.beta_local_inverse(geo.beta_local(pt))
-    return all(
-        np.array_equal(a, b) for a, b in zip(pt.as_tuple(), alpha_rt.as_tuple())
-    ) and all(
-        np.array_equal(a, b) for a, b in zip(pt.as_tuple(), beta_rt.as_tuple())
-    )
-
-
 CHECKS = [
     ("dexp/dcay dual pairing vs finite differences", _check_dual_pairings),
     ("exp/log and cay round trips", _check_round_trips),
     ("theta-family endpoints equal symplectic Euler A/B", _check_theta_endpoints),
     ("order-condition checker accept/reject", _check_order_conditions),
     ("symplectic-PRK checker accept/reject", _check_symplectic_prk),
-    ("canonical flip involution and alpha/beta bijections", _check_local_maps),
 ]
 
 

@@ -227,10 +227,6 @@ def mat_inv(m: Mat3) -> Mat3:
     )
 
 
-def frobenius_norm(m: Mat3) -> float:
-    return math.sqrt(sum(m[i][j] * m[i][j] for i in range(3) for j in range(3)))
-
-
 # --- scalar kernels with small-angle fallbacks -----------------------------
 
 def _sinc(theta: float) -> float:
@@ -475,18 +471,6 @@ def Q_mat(y: Vec3, z: Vec3) -> Mat3:
     return out
 
 
-# --- coadjoint actions -------------------------------------------------------
-
-def ad_star_so3(omega: Vec3, pi: Vec3) -> Vec3:
-    """Infinitesimal coadjoint action: ad*_omega(pi) = cross(pi, omega)."""
-    return cross(pi, omega)
-
-
-def Ad_star_so3(r: "Rotation", pi: Vec3) -> Vec3:
-    """Coadjoint action of a rotation: Ad*_R(pi) = R^T pi."""
-    return mat_T_vec(r.m, pi)
-
-
 # --- the group element type -----------------------------------------------
 
 class Rotation(Value):
@@ -520,12 +504,6 @@ class Rotation(Value):
     @staticmethod
     def identity() -> "Rotation":
         return Rotation(IDENTITY3)
-
-    def multiply(self, other: "Rotation") -> "Rotation":
-        return Rotation(mat_mul(self.m, other.m))
-
-    def transpose(self) -> "Rotation":
-        return Rotation(mat_transpose(self.m))
 
     def apply(self, v: Vec3) -> Vec3:
         return mat_vec(self.m, v)

@@ -3,15 +3,25 @@
 A value type lists its constructor fields in ``_fields`` and its slots in
 ``__slots__``; a slot that is not a field caches something derived from the
 fields, such as an inverse.  Its written-out ``__init__`` stores each slot
-with ``store``, since assignment on a value raises AttributeError.  The base
-gives field-wise ``==``, ``hash`` and ``repr``, and pickles and copies a
-value by calling its constructor on the fields again.
+with ``store``, since assignment on a value raises AttributeError; a
+scalar model parameter passes through ``finite`` first.  The base gives
+field-wise ``==``, ``hash`` and ``repr``, and pickles and copies a value by
+calling its constructor on the fields again.
 """
 
 from __future__ import annotations
 
+import math
+
 # object.__setattr__ bound once: the one way to fill a slot of a Value
 store = object.__setattr__
+
+
+def finite(name: str, value):
+    """value, if it is a finite number and not a bool; else ValueError naming the field."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 class Value:

@@ -29,6 +29,7 @@ from geomint.geometry import (
     TrivializedRetraction,
     cayley_retraction,
     exp_retraction,
+    flat_discretize_inverse,
     triv_disc_inverse_left,
     triv_disc_inverse_right,
 )
@@ -225,7 +226,7 @@ class TestLiePoissonLeft:
             xi = ret.tau_inv(Rotation(so3.mat_mul(so3.mat_transpose(r.m), r2.m)))
             omega = vec_scale(xi, 1.0 / dt)
             # transport line
-            w = ret.tau(xi)
+            w = Rotation(ret.tau_matrix(xi))
             assert _vec_err(pi2, mat_T_vec(w.m, pi)) < 1e-12
             # momentum relation
             nu = mat_vec(ret.dual_matrix(xi), pi2)
@@ -1809,3 +1810,306 @@ class TestDiscretizationOracle:
         assert worst_dmu <= dmu_bound
         # step k's momentum misses by about 1e-5, so the bound has teeth
         assert worst_stale > 1e6 * xi_bound
+
+
+# --- the flat discretization map as a whole-scheme oracle ---------------------------------
+#
+# The theta map x' = x + h f((1-theta) x + theta x') says that the inverse of
+# the flat discretization map at weight theta takes the step (x, x') to the
+# midpoint and v = x' - x = h f(midpoint).  Its cotangent lift weights q by
+# theta and p by 1 - theta.  Each generator yields, per step, the misfit
+# |v - h f(mid)| at the scheme's weight, the roundoff scale of its terms, and
+# the misfit at a wrong weight, which is O(h^2).
+
+_FLAT_EPS = np.finfo(float).eps
+
+
+def _stock_flat(scenario):
+    """Stock dt, step count, initial state, full field and split fields of a flat scenario."""
+    config = bench.default_config(scenario, "implicit_euler")
+    p = config.params
+    if scenario == "harmonic":
+        params = HarmonicOscillatorParams(k=p["k"], m=p["m"])
+        x0 = np.array([p["q0"], p["v0"]])
+        fields = ho_vectorfield(params), ho_split_fields(params)
+    else:
+        params = KeplerParams(mu=p["mu"])
+        x0 = np.array(p["x0"])
+        fields = kepler_vectorfield(params), kepler_split_fields(params)
+    return config.dt, config.steps, x0, fields
+
+
+def _wrong_weight(theta):
+    return theta + 0.25 if theta < 0.75 else theta - 0.25
+
+
+def _theta_map_misfits(f, x, h, theta, steps):
+    wrong = _wrong_weight(theta)
+    for _ in range(steps):
+        x_new = implicit_disc_step(f, x, h, theta)
+        mid, v = flat_discretize_inverse(x, x_new, theta)
+        hf = h * f(mid)
+        scale = np.max(np.abs(x)) + np.max(np.abs(x_new)) + np.max(np.abs(hf))
+        mid_wrong, _ = flat_discretize_inverse(x, x_new, wrong)
+        yield (
+            np.max(np.abs(v - hf)),
+            scale,
+            np.max(np.abs(v - h * f(mid_wrong))),
+        )
+        x = x_new
+
+
+def _cotangent_misfits(f1, f2, x, h, theta, steps):
+    wrong = _wrong_weight(theta)
+    n = x.size // 2
+    q, p = x[:n], x[n:]
+
+    def misfit(q, q_new, p, p_new, weight):
+        qm, v_q = flat_discretize_inverse(q, q_new, weight)
+        pm, v_p = flat_discretize_inverse(p, p_new, 1.0 - weight)
+        hf1, hf2 = h * f1(qm, pm), h * f2(qm, pm)
+        terms = (q, q_new, p, p_new, hf1, hf2)
+        scale = sum(np.max(np.abs(t)) for t in terms)
+        return max(np.max(np.abs(v_q - hf1)), np.max(np.abs(v_p - hf2))), scale
+
+    for _ in range(steps):
+        q_new, p_new = cotangent_theta_step(f1, f2, q, p, h, theta)
+        miss, scale = misfit(q, q_new, p, p_new, theta)
+        yield miss, scale, misfit(q, q_new, p, p_new, wrong)[0]
+        q, p = q_new, p_new
+
+
+# Kepler implicit Euler (theta = 1) fails its Newton solve at step 133, so it
+# runs the 132 steps before that; every other case runs its stock step count.
+_FLAT_ORACLE_CASES = [
+    (scenario, family, theta)
+    for scenario in ("harmonic", "kepler")
+    for family, thetas in (("theta_map", (0.0, 0.5, 1.0)), ("cotangent", (0.0, 0.25, 0.5, 1.0)))
+    for theta in thetas
+]
+
+
+class TestFlatDiscretizationOracle:
+    @pytest.mark.parametrize(
+        ("scenario", "family", "theta"),
+        _FLAT_ORACLE_CASES,
+        ids=[f"{s}-{f}-{t}" for s, f, t in _FLAT_ORACLE_CASES],
+    )
+    def test_stock_steps_invert_to_h_times_the_field(self, scenario, family, theta):
+        dt, steps, x0, (f, (f1, f2)) = _stock_flat(scenario)
+        if family == "theta_map":
+            if scenario == "kepler" and theta == 1.0:
+                steps = 132
+            misfits = _theta_map_misfits(f, x0, dt, theta, steps)
+        else:
+            misfits = _cotangent_misfits(f1, f2, x0, dt, theta, steps)
+        worst_wrong = 0.0
+        for miss, scale, wrong_miss in misfits:
+            # the Newton tolerance (1e-12) plus a few roundoffs of the terms
+            assert miss <= 1e-12 + 4.0 * _FLAT_EPS * scale
+            worst_wrong = max(worst_wrong, wrong_miss)
+        # a midpoint at the wrong weight misses by O(h^2), so the bound has teeth
+        assert worst_wrong > 1e6 * 1e-12
+
+
+
+# --- the discrete Euler-Poincare recurrence (Lagrangian side) ------------------------------
+#
+# Marsden, Pekarsky & Shkoller, "Discrete Euler-Poincare and Lie-Poisson
+# equations" (Nonlinearity, 1999).  With y = dt Omega, the left logarithmic
+# derivative L(y) of tau and Pi = L(y)^-1 I Omega, the body velocities of a
+# left-trivialized rigid-body run satisfy
+#
+#     L(y_{k+1})^-1 I Omega_{k+1} = tau(y_k)^T L(y_k)^-1 I Omega_k.
+#
+# The kernels below are written on plain floats from these definitions and
+# share no code with geomint.so3, geomint.integrators or geomint.odecore.
+
+def _ep_hat2(y, v):
+    """(hat(y) v, hat(y)^2 v)."""
+    w1 = (y[1] * v[2] - y[2] * v[1], y[2] * v[0] - y[0] * v[2], y[0] * v[1] - y[1] * v[0])
+    w2 = (y[1] * w1[2] - y[2] * w1[1], y[2] * w1[0] - y[0] * w1[2], y[0] * w1[1] - y[1] * w1[0])
+    return w1, w2
+
+
+def _ep_dlog_inv(y, tag, v):
+    """L(y)^-1 v = s v + hat(y) v / 2 + c hat(y)^2 v.
+
+    For exp, L(y) = I - a hat(y) + b hat(y)^2 with a = (1 - cos t) / t^2 and
+    b = (t - sin t) / t^3 (t = |y|), whose inverse has s = 1 and c = 1/t^2 -
+    (1 + cos t) / (2 t sin t); for Cayley, L(y) = (I - hat(y)/2) / (1 + t^2/4)
+    and s = 1 + t^2/4, c = 1/4.
+    """
+    t2 = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+    if tag == CAYLEY_TAG:
+        s, c = 1.0 + 0.25 * t2, 0.25
+    elif t2 < 1e-8:
+        s, c = 1.0, 1.0 / 12.0
+    else:
+        t = math.sqrt(t2)
+        s, c = 1.0, 1.0 / t2 - (1.0 + math.cos(t)) / (2.0 * t * math.sin(t))
+    w1, w2 = _ep_hat2(y, v)
+    return tuple(s * v[i] + 0.5 * w1[i] + c * w2[i] for i in range(3))
+
+
+def _ep_tau_t(y, tag, v):
+    """tau(y)^T v = tau(-y) v: Rodrigues for exp, cay(y/2) for Cayley."""
+    t2 = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+    if tag == CAYLEY_TAG:
+        s = 1.0 / (1.0 + 0.25 * t2)
+        a, b = s, 0.5 * s
+    else:
+        t = math.sqrt(t2)
+        a = math.sin(t) / t if t > 0.0 else 1.0
+        b = (1.0 - math.cos(t)) / t2 if t > 0.0 else 0.5
+    w1, w2 = _ep_hat2(y, v)
+    return tuple(v[i] - a * w1[i] + b * w2[i] for i in range(3))
+
+
+def _ep_solve(m, r):
+    """m^-1 r by Cramer's rule."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (
+        ((e * i - f * h) * r[0] + (c * h - b * i) * r[1] + (b * f - c * e) * r[2]) / det,
+        ((f * g - d * i) * r[0] + (a * i - c * g) * r[1] + (c * d - a * f) * r[2]) / det,
+        ((d * h - e * g) * r[0] + (b * g - a * h) * r[1] + (a * e - b * d) * r[2]) / det,
+    )
+
+
+def _ep_momentum(inertia, omega, dt, tag):
+    """Pi = L(dt Omega)^-1 I Omega."""
+    i_omega = tuple(sum(inertia[i][j] * omega[j] for j in range(3)) for i in range(3))
+    return _ep_dlog_inv(tuple(dt * w for w in omega), tag, i_omega)
+
+
+def _ep_velocity(inertia, mu, guess, dt, tag):
+    """Omega with L(dt Omega)^-1 I Omega = mu: Newton with a forward-difference Jacobian."""
+    omega = guess
+    for _ in range(20):
+        res = tuple(a - b for a, b in zip(_ep_momentum(inertia, omega, dt, tag), mu))
+        h = 1e-7 * (1.0 + max(abs(w) for w in omega))
+        cols = [
+            tuple(
+                (a - b - r) / h
+                for a, b, r in zip(
+                    _ep_momentum(inertia, tuple(w + h * c for w, c in zip(omega, e)), dt, tag),
+                    mu,
+                    res,
+                )
+            )
+            for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        ]
+        step = _ep_solve(tuple(zip(*cols)), res)
+        omega = tuple(w - s for w, s in zip(omega, step))
+        # the difference Jacobian is good to about 1e-7, so an update this small
+        # leaves an error at roundoff
+        if max(abs(s) for s in step) <= 1e-10:
+            return omega
+    raise AssertionError("Euler-Poincare Newton did not converge")
+
+
+def _ep_run(inertia, pi0, dt, tag, steps, transport=_ep_tau_t):
+    """Pi_k = L(dt Omega_k)^-1 I Omega_k along the recurrence, k = 1 .. steps."""
+    omega = _ep_velocity(inertia, pi0, pi0, dt, tag)
+    pi = _ep_momentum(inertia, omega, dt, tag)
+    previous = omega
+    for _ in range(steps):
+        mu = transport(tuple(dt * w for w in omega), tag, pi)
+        # start Newton from the linear extrapolation of the last two velocities
+        guess = tuple(2.0 * w - v for w, v in zip(omega, previous))
+        previous, omega = omega, _ep_velocity(inertia, mu, guess, dt, tag)
+        pi = _ep_momentum(inertia, omega, dt, tag)
+        yield pi
+
+
+def _ep_tau_wrong(y, tag, v):
+    """tau(y) v, the transport with the wrong direction."""
+    return _ep_tau_t(tuple(-c for c in y), tag, v)
+
+
+class TestEulerPoincareRecurrence:
+    @pytest.mark.parametrize("tag", [EXP_TAG, CAYLEY_TAG])
+    def test_recurrence_retraces_the_lie_poisson_momenta(self, tag):
+        config = bench.default_config("rigidbody", "lp_exp")
+        dt, pi0 = config.dt, config.params["Pi0"]
+        ret = TrivializedRetraction(tag)
+        r, pi = Rotation.identity(), pi0
+        worst = 0.0
+        for pi_ep in _ep_run(PARAMS.inertia, pi0, dt, tag, _ORACLE_STEPS):
+            r, pi = lie_poisson_left_step(PARAMS, ret, r, pi, dt)
+            worst = max(worst, _vec_err(pi_ep, pi))
+        assert worst <= 1e-12
+        # transport by tau(y) instead of tau(y)^T leaves the Lie-Poisson run
+        # at once, so the bound has teeth
+        wrong = _ep_run(PARAMS.inertia, pi0, dt, tag, 1, transport=_ep_tau_wrong)
+        first = lie_poisson_left_step(PARAMS, ret, Rotation.identity(), pi0, dt)[1]
+        assert _vec_err(next(wrong), first) > 1e6 * 1e-12
+
+
+# --- the forced quadrotor's discrete balance laws ------------------------------------------
+#
+# Over one step the spatial angular momentum R Pi changes by the impulse of the
+# body moment M taken in the new attitude, R'Pi' - R Pi = dt R'M, and the
+# linear momentum by the impulse of the thrust along the old attitude's body
+# axis e3 and of gravity, p' - p = dt (F R e3 - m g e3).  ``frame`` picks the
+# attitude that the law applies M or F through; the right one is R' for M
+# and R for F.
+
+_QUAD_STOCK = QuadrotorParams(inertia=PARAMS.inertia)
+
+
+def _angular_balance(state, new, u, dt, frame):
+    """|R'Pi' - R Pi - dt frame M|_inf and its bound 1e-13 (1 + |Pi| + dt |M|)."""
+    change = vec_sub(new.R.apply(new.Pi), state.R.apply(state.Pi))
+    miss = _vec_err(change, vec_scale(frame.apply(u.M), dt))
+    return miss, 1e-13 * (1.0 + norm(state.Pi) + dt * norm(u.M))
+
+
+def _linear_balance(state, new, u, dt, frame):
+    """|p' - p - dt (F frame e3 - m g e3)|_inf and its bound 1e-13 (1 + |p| + dt (F + m g))."""
+    mg = _QUAD_STOCK.m * _QUAD_STOCK.g
+    force = vec_sub(vec_scale(frame.apply((0.0, 0.0, 1.0)), u.F), (0.0, 0.0, mg))
+    miss = _vec_err(vec_sub(new.p, state.p), vec_scale(force, dt))
+    return miss, 1e-13 * (1.0 + norm(state.p) + dt * (u.F + mg))
+
+
+def _forced_run(pi0, u, dt, ret, steps=200):
+    state = QuadrotorState(R=Rotation.identity(), Pi=pi0, q=(0.0, 0.0, 1.0), p=(0.0, 0.0, 0.0))
+    for _ in range(steps):
+        new = quadrotor_step(_QUAD_STOCK, state, u, dt, ret)
+        yield state, new
+        state = new
+
+
+_unit_box = st.floats(-1.0, 1.0)
+
+
+class TestQuadrotorBalanceLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(_unit_box, _unit_box, _unit_box),
+        st.floats(0.0, 30.0),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        st.floats(1e-3, 0.05),
+    )
+    def test_each_step_keeps_both_balance_laws(self, moment, thrust, pi0, dt):
+        u = QuadrotorInput(M=moment, F=thrust)
+        for ret in (EXP, CAY):
+            for state, new in _forced_run(pi0, u, dt, ret):
+                miss, bound = _angular_balance(state, new, u, dt, new.R)
+                assert miss <= bound
+                miss, bound = _linear_balance(state, new, u, dt, state.R)
+                assert miss <= bound
+
+    def test_the_wrong_frame_breaks_the_bounds(self):
+        # M applied through R, or F through R', misses by far more than the bound
+        dt = 0.05
+        for ret in (EXP, CAY):
+            worst_angular = worst_linear = 0.0
+            for state, new in _forced_run((0.3, -0.2, 1.0), _QUAD_FORCED, dt, ret):
+                miss, bound = _angular_balance(state, new, _QUAD_FORCED, dt, state.R)
+                worst_angular = max(worst_angular, miss / bound)
+                miss, bound = _linear_balance(state, new, _QUAD_FORCED, dt, new.R)
+                worst_linear = max(worst_linear, miss / bound)
+            assert worst_angular > 1e3 and worst_linear > 1e3

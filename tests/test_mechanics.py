@@ -25,7 +25,6 @@ from geomint.mechanics import (
     kepler_vectorfield,
     orthogonality_defect,
     pendulum_embedded_vf,
-    pendulum_vf,
     project_to_cylinder,
     rigidbody_casimir,
     rigidbody_energy,
@@ -127,24 +126,11 @@ class TestKepler:
 
 
 class TestPendulum:
-    def test_equilibrium(self):
-        f = pendulum_vf(PendulumParams())
-        assert np.array_equal(f(np.zeros(2)), [0.0, 0.0])
-
     def test_horizontal(self):
-        f = pendulum_vf(PendulumParams(ml2=1.0, mgl=1.0))
-        out = f(np.array([math.pi / 2.0, 0.0]))
-        assert abs(out[0]) < 1e-15 and abs(out[1] + 1.0) < 1e-15
-
-    def test_hamiltonian_gradient_structure(self):
-        params = PendulumParams(ml2=1.3, mgl=0.7)
-        f = pendulum_vf(params)
-        energy = mech.pendulum_energy(params)
-        x = np.array([0.9, -0.4])
-        grad = _fd_gradient(lambda y: energy(y[0], y[1]), x)
-        field = f(x)
-        assert abs(field[0] - grad[1]) < 1e-6
-        assert abs(field[1] + grad[0]) < 1e-6
+        # at rest at theta = pi/2, the image (0, 1, 0), only the torque -mgl acts
+        f = pendulum_embedded_vf(PendulumParams(ml2=1.0, mgl=1.0))
+        out = f(np.array([0.0, 1.0, 0.0]))
+        assert abs(out[0]) < 1e-15 and abs(out[1]) < 1e-15 and abs(out[2] + 1.0) < 1e-15
 
     def test_embedded_equilibrium_image(self):
         f = pendulum_embedded_vf(PendulumParams())
@@ -152,10 +138,10 @@ class TestPendulum:
 
     def test_embedded_pushforward_consistency(self):
         params = PendulumParams(ml2=1.0, mgl=1.0)
-        f = pendulum_vf(params)
         fe = pendulum_embedded_vf(params)
         for theta, p in ((0.3, 0.7), (2.2, -0.4), (-1.0, 1.5)):
-            td, pd = f(np.array([theta, p]))
+            # the canonical field (theta, p) -> (p / ml2, -mgl sin theta)
+            td, pd = p / params.ml2, -params.mgl * math.sin(theta)
             # chain rule: d/dt (cos, sin, p) = (-sin * td, cos * td, pd)
             expected = np.array(
                 [-math.sin(theta) * td, math.cos(theta) * td, pd]
@@ -315,10 +301,6 @@ def _kepler_reference(params):
     return f
 
 
-def _pendulum_reference(params):
-    return lambda x: np.array([x[1] / params.ml2, -params.mgl * math.sin(x[0])])
-
-
 def _pendulum_embedded_reference(params):
     return lambda s: np.array(
         [-s[1] * s[2] / params.ml2, s[0] * s[2] / params.ml2, -params.mgl * s[1]]
@@ -353,12 +335,10 @@ def _same_rows(field, reference, x):
 class TestFlatFieldOracles:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_coord, min_size=2, max_size=2), _positive, _positive)
-    def test_ho_and_pendulum_bitwise(self, xs, a, b):
+    def test_ho_bitwise(self, xs, a, b):
         x = np.array(xs)
         ho = HarmonicOscillatorParams(k=a, m=b)
         assert _same_bits(ho_vectorfield(ho)(x), _ho_reference(ho)(x))
-        pp = PendulumParams(ml2=a, mgl=b)
-        assert _same_bits(pendulum_vf(pp)(x), _pendulum_reference(pp)(x))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_coord, min_size=3, max_size=3), _positive, _positive)
@@ -385,11 +365,9 @@ class TestFlatFieldOracles:
 
     @settings(max_examples=200, deadline=None)
     @given(_stacks(2), _positive, _positive)
-    def test_ho_and_pendulum_stack_rows(self, x, a, b):
+    def test_ho_stack_rows(self, x, a, b):
         ho = HarmonicOscillatorParams(k=a, m=b)
         assert _same_rows(ho_vectorfield(ho), _ho_reference(ho), x)
-        pp = PendulumParams(ml2=a, mgl=b)
-        assert _same_rows(pendulum_vf(pp), _pendulum_reference(pp), x)
 
     @settings(max_examples=200, deadline=None)
     @given(_stacks(3), _positive, _positive)

@@ -53,14 +53,6 @@ _CASES = [
         "TrivializedRetraction(tag='cayley')",
     ),
     (
-        geometry.LocalSecondOrderPoint,
-        ([1.0], [2.0], [3.0], [4.0]),
-        {"q": [1.0], "p_or_v": [2.0], "qdot": [3.0], "pdot_or_vdot": [4.0]},
-        {"qdot": [-3.0]},
-        "LocalSecondOrderPoint(q=array([1.]), p_or_v=array([2.]), qdot=array([3.]),"
-        " pdot_or_vdot=array([4.]))",
-    ),
-    (
         integrators.RigidBodyState,
         (_ID, (1, 2, 3)),
         {"R": _ID, "Pi": (1.0, 2.0, 3.0)},
@@ -148,7 +140,6 @@ _CASES = [
 # a dict or an array among the fields makes the value unhashable, as it did
 _UNHASHABLE = {
     bench.ScenarioConfig,
-    geometry.LocalSecondOrderPoint,
     odecore.ButcherTableau,
     odecore.PartitionedTableau,
 }
@@ -196,3 +187,30 @@ def test_value_type_contract(cls, args, kwargs, change, text):
         assert type(clone) is cls and clone is not by_position
         assert clone == by_position and repr(clone) == text
         assert _derived(clone) == _derived(by_position)
+
+
+# each scalar model parameter, with the other arguments its type needs
+_SCALAR_FIELDS = [
+    (mechanics.HarmonicOscillatorParams, (), "k"),
+    (mechanics.HarmonicOscillatorParams, (), "m"),
+    (mechanics.KeplerParams, (), "mu"),
+    (mechanics.PendulumParams, (), "ml2"),
+    (mechanics.PendulumParams, (), "mgl"),
+    (mechanics.HeavyTopParams, (_I3,), "m"),
+    (mechanics.HeavyTopParams, (_I3,), "g"),
+    (mechanics.QuadrotorParams, (_I3,), "m"),
+    (mechanics.QuadrotorParams, (_I3,), "g"),
+    (integrators.QuadrotorInput, (), "F"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "args", "field"),
+    _SCALAR_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, _, field in _SCALAR_FIELDS],
+)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, False])
+def test_scalar_parameters_reject_non_finite_and_bool(cls, args, field, bad):
+    # a NaN fails no comparison such as k <= 0.0, so only the finiteness check stops it
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {bad!r}$"):
+        cls(*args, **{field: bad})
