@@ -168,8 +168,10 @@ class TrajectoryRecord(Value):
 class ScenarioConfig(Value):
     """Validated run description: scenario, integrator, dt, steps, theta, params.
 
-    ``params`` holds every model parameter of the scenario: the given ones
-    over the scenario's defaults.
+    ``dt`` and ``steps`` default to the scenario's.  ``theta`` is taken by
+    theta_family alone, where it defaults to 0.5; any other integrator keeps
+    None and rejects a given theta.  ``params`` holds every model parameter of
+    the scenario: the given ones over the scenario's defaults.
     """
 
     __slots__ = _fields = ("scenario", "integrator", "dt", "steps", "theta", "params")
@@ -178,9 +180,9 @@ class ScenarioConfig(Value):
         self,
         scenario: str,
         integrator: str,
-        dt: float,
-        steps: int,
-        theta: float = 0.5,
+        dt: float | None = None,
+        steps: int | None = None,
+        theta: float | None = None,
         params: dict | None = None,
     ):
         if scenario not in SCENARIOS:
@@ -189,20 +191,23 @@ class ScenarioConfig(Value):
             raise UnknownKey(f"unknown integrator {integrator!r}")
         if integrator not in COMPAT[scenario]:
             raise IncompatiblePair(scenario, integrator)
-        for key, value in (("dt", dt), ("theta", theta)):
-            # a list or a word from a config file lands here too
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-        dt, theta = float(dt), float(theta)
+        base = _DEFAULTS[scenario]
+        dt = base["dt"] if dt is None else dt
+        steps = base["steps"] if steps is None else steps
+        if integrator == "theta_family":
+            theta = _number("theta", 0.5 if theta is None else theta)
+            if not 0.0 <= theta <= 1.0:
+                raise ValueError("theta must lie in [0, 1]")
+        elif theta is not None:
+            raise ValueError(f"theta applies to theta_family only, not {integrator}")
+        dt = _number("dt", dt)
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise ValueError("steps must be at least 1")
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        merged = dict(_DEFAULTS[scenario]["params"])
+        merged = dict(base["params"])
         for key, value in (params or {}).items():
             if key not in merged:
                 raise UnknownKey(f"unknown key {key!r} for scenario {scenario!r}")
@@ -216,6 +221,13 @@ class ScenarioConfig(Value):
         store(self, "steps", steps)
         store(self, "theta", theta)
         store(self, "params", merged)
+
+
+def _number(key: str, value) -> float:
+    """value as a float; a list or a word from a config file raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_param(key: str, default, value) -> None:
@@ -241,20 +253,8 @@ def _check_param(key: str, default, value) -> None:
         raise ValueError(f"project must be 0 or 1, got {value!r}")
 
 
-def default_config(scenario: str, integrator: str, **overrides) -> ScenarioConfig:
-    """Config with the scenario's stock dt/steps/params; overrides win."""
-    if scenario not in SCENARIOS:
-        raise UnknownKey(f"unknown scenario {scenario!r}")
-    base = _DEFAULTS[scenario]
-    kwargs = {
-        "dt": overrides.pop("dt", base["dt"]),
-        "steps": overrides.pop("steps", base["steps"]),
-        "theta": overrides.pop("theta", 0.5),
-        "params": overrides.pop("params", {}),
-    }
-    if overrides:
-        raise UnknownKey(f"unknown option(s) {sorted(overrides)}")
-    return ScenarioConfig(scenario=scenario, integrator=integrator, **kwargs)
+# the name the CLI and scripts build a stock config by
+default_config = ScenarioConfig
 
 
 # --- config file parsing ----------------------------------------------------------
@@ -314,46 +314,53 @@ def parse_config(
     if isinstance(steps, float) and steps.is_integer():
         # a file value parses as a float; only whole finite ones are step counts
         run["steps"] = int(steps)
-    return default_config(scenario, integrator, params=raw, **run)
+    return ScenarioConfig(scenario, integrator, params=raw, **run)
 
 
 # --- runners -------------------------------------------------------------------------
 
 def _flat_stepper(config: ScenarioConfig, f, f1, f2):
-    """One-step closure x -> x' for the flat integrators."""
+    """One-step closure x -> x' for the flat integrators.
+
+    No constructor checks a flat state, so the step raises ValueError, naming
+    the state, when x' has an entry that is not finite.
+    """
     import numpy as np
 
     name = config.integrator
     dt = config.dt
     if name == "explicit_euler":
-        return lambda x: ode.explicit_euler_step(f, x, dt)
-    if name == "implicit_euler":
-        return lambda x: ode.implicit_euler_step(f, x, dt)
-    if name == "rk2":
-        tab = ode.rk2_midpoint_tableau()
-        return lambda x: ode.rk_step(tab, f, x, dt)
-    if name == "rk4":
-        tab = ode.rk4_tableau()
-        return lambda x: ode.rk_step(tab, f, x, dt)
-
-    # split-variable schemes: state is the concatenation (q, p)
-    if name == "sympl_euler_a":
-        pair = lambda q, p: ode.symplectic_euler_a_step(f1, f2, q, p, dt)
-    elif name == "sympl_euler_b":
-        pair = lambda q, p: ode.symplectic_euler_b_step(f1, f2, q, p, dt)
-    elif name == "stormer_verlet":
-        ptab = ode.stormer_verlet_tableau()
-        pair = lambda q, p: ode.prk_step(ptab, f1, f2, q, p, dt)
-    elif name == "theta_family":
-        theta = config.theta
-        pair = lambda q, p: gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
+        advance = lambda x: ode.explicit_euler_step(f, x, dt)
+    elif name == "implicit_euler":
+        advance = lambda x: ode.implicit_euler_step(f, x, dt)
+    elif name in ("rk2", "rk4"):
+        tab = ode.rk2_midpoint_tableau() if name == "rk2" else ode.rk4_tableau()
+        advance = lambda x: ode.rk_step(tab, f, x, dt)
     else:
-        raise IncompatiblePair(config.scenario, name)
+        # split-variable schemes: state is the concatenation (q, p)
+        if name == "sympl_euler_a":
+            pair = lambda q, p: ode.symplectic_euler_a_step(f1, f2, q, p, dt)
+        elif name == "sympl_euler_b":
+            pair = lambda q, p: ode.symplectic_euler_b_step(f1, f2, q, p, dt)
+        elif name == "stormer_verlet":
+            ptab = ode.stormer_verlet_tableau()
+            pair = lambda q, p: ode.prk_step(ptab, f1, f2, q, p, dt)
+        elif name == "theta_family":
+            theta = config.theta
+            pair = lambda q, p: gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
+        else:
+            raise IncompatiblePair(config.scenario, name)
+
+        def advance(x):
+            half = x.size // 2
+            qn, pn = pair(x[:half], x[half:])
+            return np.concatenate([qn, pn])
 
     def step(x):
-        half = x.size // 2
-        qn, pn = pair(x[:half], x[half:])
-        return np.concatenate([qn, pn])
+        x = advance(x)
+        if not all(map(math.isfinite, x.tolist())):
+            raise ValueError(f"state {x.tolist()} has non-finite entries")
+        return x
 
     return step
 
@@ -661,31 +668,34 @@ def _compare_row(config: ScenarioConfig) -> list[str]:
     return row + ["%.1f" % wall_ms]
 
 
-def _rows_in_workers(configs: Sequence[ScenarioConfig]) -> list[list[str] | None]:
-    """``_compare_row`` of each config from forked workers, one per usable CPU.
+def _rows_in_workers(fn, items: Sequence) -> list[list[str]]:
+    """``fn(item)``, a list of strings, for each item, from forked workers, one
+    per usable CPU, in the order of ``items``.
 
-    Workers take config indices from a pipe in order and send each row back as
-    one line, shorter than PIPE_BUF so that lines never mix.  A config whose
-    worker raised or died gets None.  Every worker is reaped before returning.
+    Workers take item indices from a pipe in order and send each row back as
+    one tab-joined line, shorter than PIPE_BUF so that lines never mix; the
+    strings hold no tab or newline.  Every worker is reaped before the items
+    without a row, whose worker raised or died, run again here in order, so a
+    failure raises as in a serial loop: runs are deterministic.
     """
     import os
 
     jobs_r, jobs_w = os.pipe()
-    os.write(jobs_w, b"".join(i.to_bytes(4, "little") for i in range(len(configs))))
+    os.write(jobs_w, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
     os.close(jobs_w)
     rows_r, rows_w = os.pipe()
-    rows: list[list[str] | None] = [None] * len(configs)
+    rows: list[list[str] | None] = [None] * len(items)
     pids = []
     try:
         with open(rows_r, "rb") as out:
             with open(jobs_r, "rb", 0), open(rows_w, "wb", 0):
-                for _ in range(min(len(configs), len(os.sched_getaffinity(0)))):
+                for _ in range(min(len(items), len(os.sched_getaffinity(0)))):
                     pid = os.fork()
                     if pid == 0:
                         try:
                             while job := os.read(jobs_r, 4):
                                 i = int.from_bytes(job, "little")
-                                line = "\t".join([str(i), *_compare_row(configs[i])])
+                                line = "\t".join([str(i), *fn(items[i])])
                                 os.write(rows_w, (line + "\n").encode())
                         finally:
                             os._exit(0)  # never back into the caller's code
@@ -696,7 +706,7 @@ def _rows_in_workers(configs: Sequence[ScenarioConfig]) -> list[list[str] | None
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
-    return rows
+    return [fn(item) if row is None else row for row, item in zip(rows, items)]
 
 
 def compare(configs: Sequence[ScenarioConfig]) -> str:
@@ -705,9 +715,8 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
     Columns: per-invariant max absolute deviation, max orthogonality defect
     (group scenarios), and the wall time of the run and its columns in
     milliseconds.  A config with fewer than two steps raises ValueError before
-    any run.  The runs go to forked workers; rows keep the order of
-    ``configs``.  The first config in order without a row runs again here, so
-    a failure raises as in a serial loop: runs are deterministic.
+    any run.  The runs go to ``_rows_in_workers``; rows keep the order of
+    ``configs``, and a failing run raises as in a serial loop.
     """
     if not configs:
         raise ValueError("no configs to compare")
@@ -723,10 +732,7 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
         headers.append("max orthodefect")
     headers.append("wall ms")
 
-    rows = [
-        row if row is not None else _compare_row(config)
-        for row, config in zip(_rows_in_workers(configs), configs)
-    ]
+    rows = _rows_in_workers(_compare_row, configs)
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),

@@ -64,7 +64,6 @@ which is exactly what they are here to demonstrate.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import so3
@@ -179,16 +178,6 @@ class QuadrotorInput(Value):
 
 # --- flat discretization-map integrators --------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _theta_weights(theta: float, n: int) -> np.ndarray:
-    """The read-only weights (theta, .., 1 - theta, ..) of (q', p') in the midpoint."""
-    import numpy as np
-
-    weights = np.array([theta] * n + [1.0 - theta] * n)
-    weights.flags.writeable = False
-    return weights
-
-
 def cotangent_theta_step(
     f1: SplitField,
     f2: SplitField,
@@ -218,7 +207,8 @@ def cotangent_theta_step(
 
     # the midpoint is fixed + weights * (q', p'), fixed = ((1 - theta) q, theta p)
     fixed = np.concatenate([(1.0 - theta) * q, theta * p])
-    sol = _theta_solve(g, np.concatenate([q, p]), h, fixed, _theta_weights(theta, n))
+    weights = np.array([theta] * n + [1.0 - theta] * n)
+    sol = _theta_solve(g, np.concatenate([q, p]), h, fixed, weights)
     return sol[:n], sol[n:]
 
 
@@ -352,13 +342,9 @@ def _solve_body_omega(params, pi: Vec3, dt: float, ret: TrivializedRetraction) -
 
 
 def _lp_left_core(params, r_mat, pi: Vec3, dt: float, ret: TrivializedRetraction):
-    """Shared rotational step; returns (R'_mat, Pi', Omega)."""
-    omega = _solve_body_omega(params, pi, dt, ret)
-    y = vec_scale(omega, dt)
-    w = ret.tau_matrix(y)
-    r_new = so3.mat_mul(r_mat, w)
-    pi_new = mat_T_vec(w, pi)
-    return r_new, pi_new, omega
+    """Shared rotational step; returns (R'_mat, Pi')."""
+    w = ret.tau_matrix(vec_scale(_solve_body_omega(params, pi, dt, ret), dt))
+    return so3.mat_mul(r_mat, w), mat_T_vec(w, pi)
 
 
 # --- Lie-Poisson steps ------------------------------------------------------------------
@@ -376,7 +362,7 @@ def lie_poisson_left_step(
     Pi' = tau(dt Omega)^T Pi.  |Pi'| = |Pi| holds to machine precision.
     """
     pi = so3.as_vec3(Pi)
-    r_new, pi_new, _ = _lp_left_core(params, R.m, pi, dt, ret)
+    r_new, pi_new = _lp_left_core(params, R.m, pi, dt, ret)
     return Rotation(r_new), pi_new
 
 
@@ -394,7 +380,7 @@ def lie_poisson_right_step(
     """
     pi_spatial = so3.as_vec3(Pi)
     pi_body = mat_T_vec(R.m, pi_spatial)
-    r_new, _, _ = _lp_left_core(params, R.m, pi_body, dt, ret)
+    r_new, _ = _lp_left_core(params, R.m, pi_body, dt, ret)
     return Rotation(r_new), pi_spatial
 
 
@@ -644,7 +630,7 @@ def quadrotor_step(
     Pi' += dt M.  The translation uses p' = p + dt (-m g e3 + F R e3) and
     q' = q + dt p'/m.
     """
-    r_new, pi_new, _ = _lp_left_core(params, state.R.m, state.Pi, dt, ret)
+    r_new, pi_new = _lp_left_core(params, state.R.m, state.Pi, dt, ret)
     if u.M != (0.0, 0.0, 0.0):
         pi_new = vec_add(pi_new, vec_scale(u.M, dt))
 

@@ -49,7 +49,26 @@ NEWTON_MAX_ITER = 50
 FD_STEP = 1e-7
 
 
-class ButcherTableau(Value):
+class _Coefficients(Value):
+    """A Value over coefficient arrays: == compares them entry by entry.
+
+    Unhashable on purpose: == calls 0.0 and -0.0 equal, which a hash of the
+    array bytes would not.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(
+                a.shape == b.shape and bool((a == b).all())
+                for a, b in zip(self._astuple(), other._astuple())
+            )
+        return NotImplemented
+
+
+class ButcherTableau(_Coefficients):
     """Runge-Kutta coefficients (a_ij, b_i); square a, len(b) stages."""
 
     __slots__ = ("a", "b", "_explicit")
@@ -78,7 +97,7 @@ class ButcherTableau(Value):
         return self._explicit
 
 
-class PartitionedTableau(Value):
+class PartitionedTableau(_Coefficients):
     """Coefficient pair (a, b) for q-stages and (a_hat, b_hat) for p-stages."""
 
     __slots__ = ("a", "b", "a_hat", "b_hat", "_columns")

@@ -204,27 +204,8 @@ def solve3(m: Mat3, rhs: Vec3) -> Vec3:
 
 
 def mat_inv(m: Mat3) -> Mat3:
-    det = mat_det(m)
-    if abs(det) < _DET_GUARD and _below_hadamard(m, det):
-        raise SingularMatrix(f"3x3 inverse with |det| = {abs(det):.3e}")
-    d = 1.0 / det
-    return (
-        (
-            (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * d,
-            (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * d,
-            (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * d,
-        ),
-        (
-            (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * d,
-            (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * d,
-            (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * d,
-        ),
-        (
-            (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * d,
-            (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * d,
-            (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * d,
-        ),
-    )
+    """m^-1, column j solved for e_j; raises SingularMatrix as solve3 does."""
+    return tuple(zip(*(solve3(m, e) for e in IDENTITY3)))
 
 
 # --- scalar kernels with small-angle fallbacks -----------------------------

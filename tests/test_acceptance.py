@@ -2,7 +2,8 @@
 
 One test per criterion; each prints a single PASS/FAIL line (run pytest with
 -s to see them live).  The long rotational runs stream their trajectories so
-the whole suite stays within desk-scale memory.
+the whole suite stays within desk-scale memory, and the independent runs of
+criteria 4-6 share compare's forked workers.
 """
 
 import math
@@ -179,7 +180,23 @@ def test_criterion_3_embedded_pendulum():
     _report("criterion 3: embedded pendulum projection and energy drift", failures)
 
 
-# --- criteria 4-5: long rotational runs -----------------------------------------------------
+# --- criteria 4-6: long runs ----------------------------------------------------------------
+#
+# Each criterion's independent runs go through compare's forked workers, one
+# per usable CPU.  A run returns its figures by name; they travel as repr
+# strings, which float() reads back exactly, and the bounds apply here.
+
+def _figures_in_workers(fn, items):
+    """fn(item), a dict of figures, for each item in order, from forked workers."""
+
+    def row(item):
+        return [text for key, value in fn(item).items() for text in (key, repr(float(value)))]
+
+    return [
+        {key: float(text) for key, text in zip(r[::2], r[1::2])}
+        for r in bench._rows_in_workers(row, items)
+    ]
+
 
 def _stream_group_run(scenario, integrator, columns):
     """Stream one 180000-step run; return times and the tracked columns."""
@@ -218,7 +235,7 @@ def _half_slopes(times, values):
 CASIMIR_CONTRAST = 1e3  # baseline leak over the geometric schemes' worst
 
 
-def _casimir_leak_failures(name, times, casimir, dev_yardstick, slope_yardstick):
+def _casimir_leak_failures(name, run, dev_yardstick, slope_yardstick):
     """Baseline clause of criterion 4: a secular Casimir leak far above roundoff.
 
     RK4 is not Poisson, so |Pi|^2 leaks by truncation error: the final
@@ -227,14 +244,14 @@ def _casimir_leak_failures(name, times, casimir, dev_yardstick, slope_yardstick)
     slope must keep its sign over each half of the run and the whole of it.
     """
     failures = []
-    final_dev = abs(casimir[-1] - 3.0)
+    final_dev = run["cas_final_dev"]
     if final_dev < CASIMIR_CONTRAST * dev_yardstick:
         failures.append(
             f"{name} final Casimir deviation {final_dev:.3e} is "
             f"{final_dev / dev_yardstick:.3g}x the geometric worst "
             f"{dev_yardstick:.3e}, below {CASIMIR_CONTRAST:.0e}x"
         )
-    first, second, full = _half_slopes(times, casimir)
+    first, second, full = run["cas_slope_first"], run["cas_slope_second"], run["cas_slope"]
     if not (math.copysign(1.0, first) == math.copysign(1.0, second) == math.copysign(1.0, full)):
         failures.append(
             f"{name} Casimir slope sign not consistent across the run "
@@ -249,71 +266,91 @@ def _casimir_leak_failures(name, times, casimir, dev_yardstick, slope_yardstick)
     return failures
 
 
+def _rigid_body_figures(name):
+    """Casimir, energy and orthogonality figures of one stock rigid-body run."""
+    times, cols, ortho = _stream_group_run("rigidbody", name, ("energy", "casimir"))
+    casimir = cols["casimir"]
+    first, second, full = _half_slopes(times, casimir)
+    return {
+        "cas_dev": np.max(np.abs(casimir - 3.0)),
+        "cas_final_dev": abs(casimir[-1] - 3.0),
+        "cas_slope_first": first,
+        "cas_slope_second": second,
+        "cas_slope": full,
+        "span": times[-1] - times[0],
+        "ortho": ortho,
+        "e_dev": np.max(np.abs(cols["energy"] - 0.555)),  # energy of Pi0 = (1,1,1)
+        "e_slope": _ls_slope(times, cols["energy"]),
+    }
+
+
 def test_criterion_4_rigid_body():
     failures = []
     dt = 0.01
-    e0 = 0.555  # energy of Pi0 = (1,1,1) under diag(1,10,100)
+    names = ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")
+    runs = dict(zip(names, _figures_in_workers(_rigid_body_figures, names)))
     # geometric yardsticks for the baseline clause, floored at one ulp of
     # C = 3 (over the run's length, for the slope) so they never read 0
     cas_yardstick = math.ulp(3.0)
     slope_yardstick = 0.0
 
     for name in ("lp_exp", "lp_cayley"):
-        times, cols, ortho = _stream_group_run(
-            "rigidbody", name, ("energy", "casimir")
-        )
-        cas_dev = np.max(np.abs(cols["casimir"] - 3.0))
+        run = runs[name]
+        cas_dev = run["cas_dev"]
         cas_yardstick = max(cas_yardstick, cas_dev)
         slope_yardstick = max(
             slope_yardstick,
-            *(abs(s) for s in _half_slopes(times, cols["casimir"])),
-            math.ulp(3.0) / (times[-1] - times[0]),
+            abs(run["cas_slope_first"]),
+            abs(run["cas_slope_second"]),
+            abs(run["cas_slope"]),
+            math.ulp(3.0) / run["span"],
         )
         if cas_dev > 1e-9:
             failures.append(f"{name} Casimir deviation {cas_dev:.3e} > 1e-9")
-        if ortho > 1e-9:
-            failures.append(f"{name} orthogonality defect {ortho:.3e} > 1e-9")
-        e_dev = np.max(np.abs(cols["energy"] - e0))
-        if e_dev > 1e-3:
-            failures.append(f"{name} energy band {e_dev:.3e} wider than 1e-3")
-        slope_per_step = dt * _ls_slope(times, cols["energy"])
+        if run["ortho"] > 1e-9:
+            failures.append(f"{name} orthogonality defect {run['ortho']:.3e} > 1e-9")
+        if run["e_dev"] > 1e-3:
+            failures.append(f"{name} energy band {run['e_dev']:.3e} wider than 1e-3")
+        slope_per_step = dt * run["e_slope"]
         if abs(slope_per_step) > 1e-10:
             failures.append(
                 f"{name} energy slope {slope_per_step:.3e} per step > 1e-10"
             )
 
     for name in ("quat_rk4", "rkmk4"):
-        times, cols, _ = _stream_group_run("rigidbody", name, ("casimir",))
-        failures += _casimir_leak_failures(
-            name, times, cols["casimir"], cas_yardstick, slope_yardstick
-        )
+        failures += _casimir_leak_failures(name, runs[name], cas_yardstick, slope_yardstick)
 
     _report("criterion 4: rigid body Casimir/energy contrast", failures)
+
+
+def _heavy_top_figures(name):
+    """|Gamma|^2 deviation and Pi.Gamma slope (per unit time) of one stock heavy-top run."""
+    times, cols, _ = _stream_group_run("heavytop", name, ("pi_gamma", "gamma_norm2"))
+    return {
+        "g_dev": np.max(np.abs(cols["gamma_norm2"] - 1.0)),
+        "pg_slope": _ls_slope(times, cols["pi_gamma"]),
+    }
 
 
 def test_criterion_5_heavy_top():
     failures = []
     dt = 0.01
+    names = ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")
+    runs = dict(zip(names, _figures_in_workers(_heavy_top_figures, names)))
 
     for name in ("lp_exp", "lp_cayley"):
-        times, cols, _ = _stream_group_run(
-            "heavytop", name, ("pi_gamma", "gamma_norm2")
-        )
-        g_dev = np.max(np.abs(cols["gamma_norm2"] - 1.0))
+        g_dev = runs[name]["g_dev"]
         if g_dev > 1e-10:
             failures.append(f"{name} |Gamma|^2 deviation {g_dev:.3e} > 1e-10")
-        slope_per_step = dt * _ls_slope(times, cols["pi_gamma"])
+        slope_per_step = dt * runs[name]["pg_slope"]
         if abs(slope_per_step) > 1e-9:
             failures.append(
                 f"{name} Pi.Gamma slope {slope_per_step:.3e} per step > 1e-9"
             )
 
     for name in ("quat_rk4", "rkmk4"):
-        times, cols, _ = _stream_group_run(
-            "heavytop", name, ("pi_gamma", "gamma_norm2")
-        )
-        g_dev = np.max(np.abs(cols["gamma_norm2"] - 1.0))
-        slope_per_step = dt * _ls_slope(times, cols["pi_gamma"])
+        g_dev = runs[name]["g_dev"]
+        slope_per_step = dt * runs[name]["pg_slope"]
         if g_dev <= 1e-10 and abs(slope_per_step) <= 1e-9:
             failures.append(
                 f"{name} violates neither bound "
@@ -323,15 +360,12 @@ def test_criterion_5_heavy_top():
     _report("criterion 5: heavy top Casimir contrast", failures)
 
 
-# --- criterion 6: quadrotor hover -------------------------------------------------------------
-
-def test_criterion_6_quadrotor_hover():
-    failures = []
-    config = default_config("quadrotor_hover", "lp_exp")
+def _hover_figures():
+    """Worst position and momentum deviation of the stock hover run."""
     worst_q = 0.0
     worst_p = 0.0
     target = (0.0, 0.0, 1.0)
-    for rec in iter_scenario(config):
+    for rec in iter_scenario(default_config("quadrotor_hover", "lp_exp")):
         worst_q = max(
             worst_q,
             abs(rec.value("q1") - target[0]),
@@ -341,13 +375,14 @@ def test_criterion_6_quadrotor_hover():
         worst_p = max(
             worst_p, abs(rec.value("p1")), abs(rec.value("p2")), abs(rec.value("p3"))
         )
-    if worst_q > 1e-10:
-        failures.append(f"hover position deviates by {worst_q:.3e} > 1e-10")
-    if worst_p > 1e-10:
-        failures.append(f"hover momentum deviates by {worst_p:.3e} > 1e-10")
+    return {"worst_q": worst_q, "worst_p": worst_p}
 
-    # decoupled limit: M = 0, F = 0, g = 0 must retrace the free rigid body
-    # trajectory bitwise
+
+def _decoupled_figures():
+    """First step at which the decoupled quadrotor leaves the free rigid body, or 0.
+
+    With M = 0, F = 0 and g = 0 the rotation must retrace lp_exp bitwise.
+    """
     params = QuadrotorParams(
         inertia=((1.0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 100.0)),
         m=1.0,
@@ -360,15 +395,27 @@ def test_criterion_6_quadrotor_hover():
     )
     ret = exp_retraction()
     r, pi = state.R, state.Pi
-    mismatch = None
     for k in range(180000):
         state = quadrotor_step(params, state, u, 0.01)
         r, pi = lie_poisson_left_step(rb_params, ret, r, pi, 0.01)
         if state.R.m != r.m or state.Pi != pi:
-            mismatch = k + 1
-            break
-    if mismatch is not None:
-        failures.append(f"decoupled rotation diverges from lp_exp at step {mismatch}")
+            return {"mismatch": k + 1}
+    return {"mismatch": 0}
+
+
+def test_criterion_6_quadrotor_hover():
+    failures = []
+    hover, decoupled = _figures_in_workers(
+        lambda run: run(), (_hover_figures, _decoupled_figures)
+    )
+    if hover["worst_q"] > 1e-10:
+        failures.append(f"hover position deviates by {hover['worst_q']:.3e} > 1e-10")
+    if hover["worst_p"] > 1e-10:
+        failures.append(f"hover momentum deviates by {hover['worst_p']:.3e} > 1e-10")
+    if decoupled["mismatch"]:
+        failures.append(
+            f"decoupled rotation diverges from lp_exp at step {int(decoupled['mismatch'])}"
+        )
 
     _report("criterion 6: quadrotor hover exactness and decoupled limit", failures)
 

@@ -86,7 +86,8 @@ class TestConfig:
             parse_config(
                 None, {"scenario": "harmonic", "integrator": "rk4", "seed": 3.0}
             )
-        with pytest.raises(UnknownKey):
+        # default_config is ScenarioConfig, so an unknown option is a TypeError
+        with pytest.raises(TypeError, match="seed"):
             default_config("harmonic", "rk4", seed=3)
         # the quadrotor has a single translational update; no mode selects another
         with pytest.raises(UnknownKey):
@@ -97,10 +98,18 @@ class TestConfig:
             ScenarioConfig(scenario="harmonic", integrator="rk4", dt=0.0, steps=10)
         with pytest.raises(ValueError):
             ScenarioConfig(scenario="harmonic", integrator="rk4", dt=0.1, steps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
             ScenarioConfig(
-                scenario="harmonic", integrator="rk4", dt=0.1, steps=10, theta=1.5
+                scenario="harmonic", integrator="theta_family", dt=0.1, steps=10,
+                theta=1.5,
             )
+        # only theta_family reads theta, where it defaults to 0.5
+        with pytest.raises(ValueError, match="theta applies to theta_family only, not rk4"):
+            ScenarioConfig(
+                scenario="harmonic", integrator="rk4", dt=0.1, steps=10, theta=0.5
+            )
+        assert default_config("harmonic", "rk4").theta is None
+        assert default_config("harmonic", "theta_family").theta == 0.5
         with pytest.raises(ValueError, match="dt"):
             ScenarioConfig(
                 scenario="harmonic", integrator="rk4", dt=float("inf"), steps=10
@@ -146,6 +155,8 @@ class TestConfig:
               "--param", "project=-7"], "project must be 0 or 1, got -7.0"),
             (["--scenario", "kepler", "--integrator", "rk4",
               "--param", "x0=1,,0,0.5"], "--param x0 expects numbers"),
+            (["--scenario", "rigidbody", "--integrator", "lp_exp",
+              "--theta", "0.3"], "theta applies to theta_family only, not lp_exp"),
         ):
             code = cli.main(["run", *args, "--steps", "5", "--out", str(out)])
             assert code == 1, args
@@ -171,7 +182,7 @@ class TestConfig:
             cfg.write_text(f"{key} = 0.1,0.2\n", encoding="utf-8")
             code = cli.main(
                 [
-                    "run", "--scenario", "harmonic", "--integrator", "rk4",
+                    "run", "--scenario", "harmonic", "--integrator", "theta_family",
                     "--config", str(cfg), "--out", str(out),
                 ]
             )
@@ -529,6 +540,36 @@ class TestCompare:
         # and the config that failed in its worker
         assert reran == (["rkmk4"] if victim == "rkmk4" else ["lp_exp", "rkmk4"])
 
+    # item 3's worker, or every worker, dies by SIGKILL
+    @pytest.mark.parametrize("victim", [3, None])
+    def test_pool_maps_any_function(self, monkeypatch, victim):
+        # the pool behind compare and the acceptance runs: rows of any function,
+        # in input order, a killed worker's items run again here, none left behind
+        parent, reran = os.getpid(), []
+
+        def fn(item):
+            if os.getpid() == parent:
+                reran.append(item)
+            elif victim in (None, item):
+                os.kill(os.getpid(), signal.SIGKILL)
+            if item == 5:
+                raise ValueError(f"item {item} failed")
+            return [repr(item * 0.1), "x" * item]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        items = [0, 1, 2, 3, 4]
+        rows = [[repr(i * 0.1), "x" * i] for i in items]
+        assert bench._rows_in_workers(fn, items) == rows
+        _assert_no_child_left()
+        assert reran == [i for i in items if victim in (None, i)]
+        # the first item in order that fails in its worker raises here, as in a loop
+        reran.clear()
+        with pytest.raises(ValueError, match="item 5 failed"):
+            bench._rows_in_workers(fn, [1, 5, 6, 5])
+        _assert_no_child_left()
+        assert reran == ([1, 5] if victim is None else [5])
+        assert bench._rows_in_workers(fn, []) == []
+
     def test_memory_does_not_grow_with_steps(self):
         # a row folds its columns as the run goes and keeps no records
         def peak(steps):
@@ -545,8 +586,9 @@ class TestCompare:
 
     @pytest.mark.parametrize("scenario", bench.SCENARIOS)
     def test_cells_match_numpy(self, scenario):
-        # 300 flat steps reach the NaN of pendulum_embedded explicit_euler and
-        # the failure of kepler implicit_euler at step 133
+        # 300 flat steps reach the non-finite state of pendulum_embedded
+        # explicit_euler at step 251 and the failure of kepler implicit_euler
+        # at step 133
         steps = 300 if scenario in bench.FLAT_SCENARIOS else 200
         rot = ("R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33")
         rows = {}
@@ -573,7 +615,7 @@ class TestCompare:
                 expected.append("%.3e" % max(defects))
             assert rows[name] == expected
         if scenario == "pendulum_embedded":
-            assert rows["explicit_euler"] == ["explicit_euler", "nan", "nan"]
+            assert rows["explicit_euler"] == 251
         if scenario == "kepler":
             assert rows["implicit_euler"] == 133
 
@@ -692,6 +734,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "integrator failed at step" in err and cause in err
         assert not out.exists()
+
+    def test_non_finite_flat_state_fails_at_its_step(self, tmp_path, capsys):
+        # explicit Euler spirals off the embedded pendulum's cylinder; the first
+        # state with an infinite entry fails its step, and no CSV is written
+        out = tmp_path / "x.csv"
+        argv = ["run", "--scenario", "pendulum_embedded", "--integrator", "explicit_euler",
+                "--steps", "300", "--out", str(out)]
+        with np.errstate(over="ignore"):
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: integrator failed at step 251: ValueError: state [inf, -inf, "
+        ) and err.endswith("] has non-finite entries\n")
+        assert not out.exists()
+        # the step before runs to completion
+        with np.errstate(over="ignore"):
+            assert cli.main([*argv[:-3], "250", "--out", str(out)]) == 0
+        assert read_csv(str(out))[-1].step == 250
 
     def test_singular_inertia_is_a_config_error(self, tmp_path, capsys):
         # a small but well-conditioned inertia is accepted: the determinant guard

@@ -32,11 +32,11 @@ _CASES = [
         ("harmonic", "stormer_verlet", 0.1, 10),
         {
             "scenario": "harmonic", "integrator": "stormer_verlet", "dt": 0.1, "steps": 10,
-            "theta": 0.5, "params": {},
+            "theta": None, "params": {},
         },
         {"params": {"k": 2.0}},
         "ScenarioConfig(scenario='harmonic', integrator='stormer_verlet', dt=0.1, steps=10,"
-        f" theta=0.5, params={_HARMONIC!r})",
+        f" theta=None, params={_HARMONIC!r})",
     ),
     (
         bench.DriftSummary,
@@ -137,7 +137,30 @@ _CASES = [
      _ID_REPR),
 ]
 
-# a dict or an array among the fields makes the value unhashable, as it did
+# multi-stage tableaux: == must compare whole coefficient arrays
+_RK2_A = [[0.0, 0.0], [0.5, 0.0]]
+_SV_A, _SV_A_HAT = [[0.0, 0.0], [0.5, 0.5]], [[0.5, 0.0], [0.5, 0.0]]
+_MULTI_STAGE_CASES = [
+    (
+        odecore.ButcherTableau,
+        (_RK2_A, [0.0, 1.0]),
+        {"a": _RK2_A, "b": [0.0, 1.0]},
+        {"b": [0.5, 0.5]},
+        "ButcherTableau(a=array([[0. , 0. ],\n       [0.5, 0. ]]), b=array([0., 1.]))",
+    ),
+    (
+        odecore.PartitionedTableau,
+        (_SV_A, [0.5, 0.5], _SV_A_HAT, [0.5, 0.5]),
+        {"a": _SV_A, "b": [0.5, 0.5], "a_hat": _SV_A_HAT, "b_hat": [0.5, 0.5]},
+        {"a_hat": [[0.5, 0.0], [0.5, 0.5]]},
+        "PartitionedTableau(a=array([[0. , 0. ],\n       [0.5, 0.5]]), b=array([0.5, 0.5]),"
+        " a_hat=array([[0.5, 0. ],\n       [0.5, 0. ]]), b_hat=array([0.5, 0.5]))",
+    ),
+]
+_IDS = [case[0].__name__ for case in _CASES] + ["rk2_midpoint_tableau", "stormer_verlet_tableau"]
+
+# a dict among the fields makes the value unhashable, as it did; a tableau is
+# unhashable on purpose, as == calls 0.0 and -0.0 equal
 _UNHASHABLE = {
     bench.ScenarioConfig,
     odecore.ButcherTableau,
@@ -155,7 +178,7 @@ def _derived(value):
 
 
 @pytest.mark.parametrize(
-    ("cls", "args", "kwargs", "change", "text"), _CASES, ids=[case[0].__name__ for case in _CASES]
+    ("cls", "args", "kwargs", "change", "text"), _CASES + _MULTI_STAGE_CASES, ids=_IDS
 )
 def test_value_type_contract(cls, args, kwargs, change, text):
     by_position = cls(*args)
