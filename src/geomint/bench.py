@@ -35,111 +35,6 @@ from .geometry import cayley_retraction, exp_retraction
 from .so3 import Rotation, Vec3, norm
 from .value import Value, store
 
-FLAT_SCENARIOS = ("harmonic", "kepler", "pendulum_embedded")
-GROUP_SCENARIOS = ("rigidbody", "heavytop", "quadrotor_hover")
-SCENARIOS = FLAT_SCENARIOS + GROUP_SCENARIOS
-
-FLAT_INTEGRATORS = (
-    "explicit_euler",
-    "implicit_euler",
-    "sympl_euler_a",
-    "sympl_euler_b",
-    "stormer_verlet",
-    "rk2",
-    "rk4",
-    "theta_family",
-)
-GROUP_INTEGRATORS = ("lp_exp", "lp_cayley", "lp_exp_right", "quat_rk4", "rkmk4")
-INTEGRATORS = FLAT_INTEGRATORS + GROUP_INTEGRATORS
-
-# scenario -> admissible integrators
-COMPAT: dict[str, tuple[str, ...]] = {
-    "harmonic": FLAT_INTEGRATORS,
-    "kepler": FLAT_INTEGRATORS,
-    # no (q, p) split on the embedded pendulum state, so the split-variable
-    # schemes stay off the menu
-    "pendulum_embedded": ("explicit_euler", "implicit_euler", "rk2", "rk4"),
-    "rigidbody": GROUP_INTEGRATORS,
-    "heavytop": ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4"),
-    "quadrotor_hover": ("lp_exp", "lp_cayley"),
-}
-
-# scenario defaults mirror the benchmark figures of record
-_DEFAULTS: dict[str, dict] = {
-    "harmonic": {
-        "dt": 0.1,
-        "steps": 50,
-        "params": {"k": 1.0, "m": 1.0, "q0": 1.0, "v0": 0.0},
-    },
-    "kepler": {
-        "dt": 0.01,
-        "steps": 3000,
-        "params": {"mu": 1.0, "x0": (1.0, 0.0, 0.0, 0.5)},
-    },
-    "pendulum_embedded": {
-        "dt": 0.1,
-        "steps": 1000,
-        "params": {"ml2": 1.0, "mgl": 1.0, "theta0": 1.0, "p0": 0.0, "project": 0.0},
-    },
-    "rigidbody": {
-        "dt": 0.01,
-        "steps": 180000,
-        "params": {"I1": 1.0, "I2": 10.0, "I3": 100.0, "Pi0": (1.0, 1.0, 1.0)},
-    },
-    "heavytop": {
-        "dt": 0.01,
-        "steps": 180000,
-        "params": {
-            "I1": 1.0,
-            "I2": 10.0,
-            "I3": 100.0,
-            "Pi0": (1.0, 1.0, 1.0),
-            "Gamma0": (0.0, 0.0, 1.0),
-            "m": 1.0,
-            "g": 9.81,
-            "chi": (0.0, 0.0, 1.0),
-        },
-    },
-    "quadrotor_hover": {
-        "dt": 0.01,
-        "steps": 180000,
-        "params": {
-            "I1": 1.0,
-            "I2": 10.0,
-            "I3": 100.0,
-            "m": 1.0,
-            "g": 9.81,
-            "Pi0": (0.0, 0.0, 1.0),
-            "q0": (0.0, 0.0, 1.0),
-            "p0": (0.0, 0.0, 0.0),
-            "F": None,  # defaults to m*g (hover thrust)
-            "M": (0.0, 0.0, 0.0),
-        },
-    },
-}
-
-_COLUMNS: dict[str, tuple[str, ...]] = {
-    "harmonic": ("step", "t", "q", "v", "energy"),
-    "kepler": ("step", "t", "rx", "ry", "vx", "vy", "energy", "angmom"),
-    "pendulum_embedded": ("step", "t", "x", "y", "z", "energy", "cylinder_defect"),
-    "rigidbody": (
-        "step", "t",
-        "R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33",
-        "Pi1", "Pi2", "Pi3", "energy", "casimir",
-    ),
-    "heavytop": (
-        "step", "t",
-        "R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33",
-        "x1", "x2", "x3", "Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3",
-        "energy", "pi_gamma", "gamma_norm2",
-    ),
-    "quadrotor_hover": (
-        "step", "t",
-        "R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33",
-        "Pi1", "Pi2", "Pi3", "q1", "q2", "q3", "p1", "p2", "p3", "casimir",
-    ),
-}
-
 
 class TrajectoryRecord(Value):
     """One row of a run: step index, time, then the scenario's columns."""
@@ -189,9 +84,9 @@ class ScenarioConfig(Value):
             raise UnknownKey(f"unknown scenario {scenario!r}")
         if integrator not in INTEGRATORS:
             raise UnknownKey(f"unknown integrator {integrator!r}")
-        if integrator not in COMPAT[scenario]:
+        base = _SCENARIO_TABLE[scenario]
+        if integrator not in base["integrators"]:
             raise IncompatiblePair(scenario, integrator)
-        base = _DEFAULTS[scenario]
         dt = base["dt"] if dt is None else dt
         steps = base["steps"] if steps is None else steps
         if integrator == "theta_family":
@@ -279,8 +174,9 @@ def parse_config(
     """Build a config from a flat ``key = value`` file and/or CLI overrides.
 
     The file is UTF-8 with ``#`` comments; CLI overrides win over file
-    values.  Raises ParseError for malformed lines, UnknownKey for keys the
-    scenario does not define, IncompatiblePair for inadmissible pairs.
+    values.  Raises ParseError for malformed lines and for a key the file
+    gives twice, UnknownKey for keys the scenario does not define,
+    IncompatiblePair for inadmissible pairs.
     """
     raw: dict[str, object] = {}
     if path is not None:
@@ -295,6 +191,8 @@ def parse_config(
                 key = key.strip()
                 if not key:
                     raise ParseError(line_no, line.rstrip("\n"))
+                if key in raw:
+                    raise ParseError(line_no, line.rstrip("\n"), f"key {key!r} given again in")
                 try:
                     raw[key] = _parse_value(value)
                 except ValueError:
@@ -418,6 +316,9 @@ def _inertia_from(p: dict):
     return ((p["I1"], 0.0, 0.0), (0.0, p["I2"], 0.0), (0.0, 0.0, p["I3"]))
 
 
+_ROT_COLUMNS = ("R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33")
+
+
 def _rot_row(r: Rotation) -> tuple[float, ...]:
     m = r.m
     return (
@@ -509,14 +410,89 @@ def _setup_quadrotor(config: ScenarioConfig):
     return state, lambda s: gi.quadrotor_step(params, s, u, dt, ret), row
 
 
-_SETUPS = {
-    "harmonic": _setup_harmonic,
-    "kepler": _setup_kepler,
-    "pendulum_embedded": _setup_pendulum,
-    "rigidbody": _setup_rigidbody,
-    "heavytop": _setup_heavytop,
-    "quadrotor_hover": _setup_quadrotor,
+# --- the scenario table ------------------------------------------------------------
+
+_FLAT_INTEGRATORS = (
+    "explicit_euler", "implicit_euler", "sympl_euler_a", "sympl_euler_b",
+    "stormer_verlet", "rk2", "rk4", "theta_family",
+)
+
+# One entry per scenario: its admissible integrators, default dt and steps
+# (the benchmark figures of record), model parameters with their defaults,
+# value columns after step,t, the invariant columns compare reports, and the
+# setup.  Values that start with R11 ... R33 carry an attitude.
+_SCENARIO_TABLE: dict[str, dict] = {
+    "harmonic": {
+        "integrators": _FLAT_INTEGRATORS,
+        "dt": 0.1, "steps": 50,
+        "params": {"k": 1.0, "m": 1.0, "q0": 1.0, "v0": 0.0},
+        "columns": ("q", "v", "energy"),
+        "invariants": ("energy",),
+        "setup": _setup_harmonic,
+    },
+    "kepler": {
+        "integrators": _FLAT_INTEGRATORS,
+        "dt": 0.01, "steps": 3000,
+        "params": {"mu": 1.0, "x0": (1.0, 0.0, 0.0, 0.5)},
+        "columns": ("rx", "ry", "vx", "vy", "energy", "angmom"),
+        "invariants": ("energy", "angmom"),
+        "setup": _setup_kepler,
+    },
+    "pendulum_embedded": {
+        # no (q, p) split on the embedded pendulum state, so the split-variable
+        # schemes stay off the menu
+        "integrators": ("explicit_euler", "implicit_euler", "rk2", "rk4"),
+        "dt": 0.1, "steps": 1000,
+        "params": {"ml2": 1.0, "mgl": 1.0, "theta0": 1.0, "p0": 0.0, "project": 0.0},
+        "columns": ("x", "y", "z", "energy", "cylinder_defect"),
+        "invariants": ("energy", "cylinder_defect"),
+        "setup": _setup_pendulum,
+    },
+    "rigidbody": {
+        "integrators": ("lp_exp", "lp_cayley", "lp_exp_right", "quat_rk4", "rkmk4"),
+        "dt": 0.01, "steps": 180000,
+        "params": {"I1": 1.0, "I2": 10.0, "I3": 100.0, "Pi0": (1.0, 1.0, 1.0)},
+        "columns": _ROT_COLUMNS + ("Pi1", "Pi2", "Pi3", "energy", "casimir"),
+        "invariants": ("energy", "casimir"),
+        "setup": _setup_rigidbody,
+    },
+    "heavytop": {
+        "integrators": ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4"),
+        "dt": 0.01, "steps": 180000,
+        "params": {
+            "I1": 1.0, "I2": 10.0, "I3": 100.0, "Pi0": (1.0, 1.0, 1.0),
+            "Gamma0": (0.0, 0.0, 1.0), "m": 1.0, "g": 9.81, "chi": (0.0, 0.0, 1.0),
+        },
+        "columns": _ROT_COLUMNS + (
+            "x1", "x2", "x3", "Pi1", "Pi2", "Pi3", "Gamma1", "Gamma2", "Gamma3",
+            "energy", "pi_gamma", "gamma_norm2",
+        ),
+        "invariants": ("energy", "pi_gamma", "gamma_norm2"),
+        "setup": _setup_heavytop,
+    },
+    "quadrotor_hover": {
+        "integrators": ("lp_exp", "lp_cayley"),
+        "dt": 0.01, "steps": 180000,
+        "params": {
+            "I1": 1.0, "I2": 10.0, "I3": 100.0, "m": 1.0, "g": 9.81,
+            "Pi0": (0.0, 0.0, 1.0), "q0": (0.0, 0.0, 1.0), "p0": (0.0, 0.0, 0.0),
+            "F": None,  # defaults to m*g (hover thrust)
+            "M": (0.0, 0.0, 0.0),
+        },
+        "columns": _ROT_COLUMNS + (
+            "Pi1", "Pi2", "Pi3", "q1", "q2", "q3", "p1", "p2", "p3", "casimir",
+        ),
+        "invariants": ("casimir",),
+        "setup": _setup_quadrotor,
+    },
 }
+
+SCENARIOS = tuple(_SCENARIO_TABLE)
+# scenario -> admissible integrators
+COMPAT: dict[str, tuple[str, ...]] = {
+    name: entry["integrators"] for name, entry in _SCENARIO_TABLE.items()
+}
+INTEGRATORS = tuple(dict.fromkeys(name for names in COMPAT.values() for name in names))
 
 
 def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
@@ -526,8 +502,9 @@ def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
     as they are; a GeomintError, ArithmeticError or ValueError raised by step
     k or its record is wrapped as IntegratorFailure(k).
     """
-    state, step, row = _SETUPS[config.scenario](config)
-    cols = _COLUMNS[config.scenario]
+    entry = _SCENARIO_TABLE[config.scenario]
+    state, step, row = entry["setup"](config)
+    cols = ("step", "t") + entry["columns"]
     dt = config.dt
     for k in range(1, config.steps + 1):
         try:
@@ -544,9 +521,9 @@ def run_scenario(config: ScenarioConfig) -> list[TrajectoryRecord]:
 
 
 def scenario_columns(scenario: str) -> tuple[str, ...]:
-    if scenario not in _COLUMNS:
+    if scenario not in _SCENARIO_TABLE:
         raise UnknownKey(f"unknown scenario {scenario!r}")
-    return _COLUMNS[scenario]
+    return ("step", "t") + _SCENARIO_TABLE[scenario]["columns"]
 
 
 # --- CSV ----------------------------------------------------------------------------
@@ -629,16 +606,6 @@ def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSu
 
 # --- comparison table ---------------------------------------------------------------------
 
-_INVARIANT_COLUMNS = {
-    "harmonic": ("energy",),
-    "kepler": ("energy", "angmom"),
-    "pendulum_embedded": ("energy", "cylinder_defect"),
-    "rigidbody": ("energy", "casimir"),
-    "heavytop": ("energy", "pi_gamma", "gamma_norm2"),
-    "quadrotor_hover": ("casimir",),
-}
-
-
 def _compare_row(config: ScenarioConfig) -> list[str]:
     """Run one config and return its table row: the integrator, each invariant's
     max deviation, the max orthogonality defect (group scenarios) and wall ms.
@@ -646,9 +613,9 @@ def _compare_row(config: ScenarioConfig) -> list[str]:
     One pass over the run keeps a running maximum per cell and no records.  A
     NaN deviation stays NaN, as ``np.max`` reports it.
     """
-    cols = _COLUMNS[config.scenario]
-    idx = [cols.index(name) - 2 for name in _INVARIANT_COLUMNS[config.scenario]]
-    group = config.scenario in GROUP_SCENARIOS  # their values lead with R11 ... R33
+    entry = _SCENARIO_TABLE[config.scenario]
+    idx = [entry["columns"].index(name) for name in entry["invariants"]]
+    group = entry["columns"][:9] == _ROT_COLUMNS
     worst, ortho, initial = [0.0] * len(idx), 0.0, None
     start = time.perf_counter()
     for rec in iter_scenario(config):
@@ -726,9 +693,9 @@ def compare(configs: Sequence[ScenarioConfig]) -> str:
     if any(c.steps < 2 for c in configs):
         raise ValueError("need at least two records")
 
-    invariants = _INVARIANT_COLUMNS[scenario]
-    headers = ["integrator"] + [f"max|d {name}|" for name in invariants]
-    if scenario in GROUP_SCENARIOS:
+    entry = _SCENARIO_TABLE[scenario]
+    headers = ["integrator"] + [f"max|d {name}|" for name in entry["invariants"]]
+    if entry["columns"][:9] == _ROT_COLUMNS:
         headers.append("max orthodefect")
     headers.append("wall ms")
 

@@ -31,6 +31,8 @@ def _parse_param_overrides(pairs: list[str]) -> dict:
         key = key.strip()
         if key in _RUN_FLAGS:
             raise GeomintError(f"--param {key} is not a model parameter; use --{key}")
+        if key in out:
+            raise GeomintError(f"--param {key} is given twice")
         try:
             out[key] = bench._parse_value(value)
         except ValueError:

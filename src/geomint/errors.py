@@ -64,11 +64,11 @@ class DegenerateProjection(GeomintError):
 
 
 class ParseError(GeomintError):
-    """Malformed line in a config file."""
+    """Malformed line in a config file, or one that repeats a key."""
 
-    def __init__(self, line_no: int, text: str):
+    def __init__(self, line_no: int, text: str, reason: str = "cannot parse"):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: cannot parse {text!r}")
+        super().__init__(f"line {line_no}: {reason} {text!r}")
 
 
 class UnknownKey(GeomintError):

@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 
 from . import so3
-from .errors import NoConvergence, NotRotation, OutOfChart
+from .errors import GeomintError, NoConvergence, NotRotation, OutOfChart
 from .geometry import EXP_TAG, TrivializedRetraction, cayley_retraction, exp_retraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
@@ -223,13 +223,25 @@ def _check_exp_chart(theta: float) -> None:
         )
 
 
+def _name_iterate(exc: Exception, dt: float, omega: Vec3, params, pi: Vec3) -> None:
+    """Append |dt*Omega| of the iterate a failed solve stopped at to exc's message,
+    and that of the first iterate I^-1 Pi when the last one is not finite."""
+    y = math.hypot(*vec_scale(omega, dt))
+    note = f" at |dt*Omega| = {y:.6g}"
+    if not math.isfinite(y):
+        y0 = math.hypot(*vec_scale(mat_vec(params.inertia_inv, pi), dt))
+        note += f" (first iterate {y0:.6g})"
+    exc.args = (f"{exc}{note}",)
+
+
 def _solve_body_omega(params, pi: Vec3, dt: float, ret: TrivializedRetraction) -> Vec3:
     """Body velocity Omega from dlog(dt Omega) . Pi = I Omega.
 
     Newton iteration with the analytic Jacobian; initial guess I^-1 Pi.  The
     residual and the Jacobian columns are written out on float locals.  The
     products with the unit vectors e_j keep their factors 0.0 and 1.0, since
-    dropping them can flip the sign of a zero.
+    dropping them can flip the sign of a zero.  A failed solve names the
+    |dt*Omega| of the iterate it stopped at.
     """
     p0, p1, p2 = pi
     (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = params.inertia
@@ -249,96 +261,101 @@ def _solve_body_omega(params, pi: Vec3, dt: float, ret: TrivializedRetraction) -
     ep21 = 1.0 * p0 - 0.0 * p2
     ep22 = 0.0 * p1 - 0.0 * p0
 
-    for _ in range(NEWTON_MAX_ITER):
-        y0 = dt * o0
-        y1 = dt * o1
-        y2 = dt * o2
-        # w1 = hat(y) Pi, w2 = hat(y)^2 Pi
-        w10 = y1 * p2 - y2 * p1
-        w11 = y2 * p0 - y0 * p2
-        w12 = y0 * p1 - y1 * p0
-        w20 = y1 * w12 - y2 * w11
-        w21 = y2 * w10 - y0 * w12
-        w22 = y0 * w11 - y1 * w10
-        if exp_tag:
-            theta = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
-            a = _coeff_a(theta)
-            b = _coeff_b(theta)
-            l0 = p0 - a * w10 + b * w20
-            l1 = p1 - a * w11 + b * w21
-            l2 = p2 - a * w12 + b * w22
-        else:
-            # normalized Cayley: dlog(y) = (I - hat(y/2)) / (1 + |y|^2/4)
-            c = 1.0 / (1.0 + 0.25 * (y0 * y0 + y1 * y1 + y2 * y2))
-            h0 = p0 - 0.5 * w10
-            h1 = p1 - 0.5 * w11
-            h2 = p2 - 0.5 * w12
-            l0 = c * h0
-            l1 = c * h1
-            l2 = c * h2
-        r0 = l0 - (i00 * o0 + i01 * o1 + i02 * o2)
-        r1 = l1 - (i10 * o0 + i11 * o1 + i12 * o2)
-        r2 = l2 - (i20 * o0 + i21 * o1 + i22 * o2)
-        if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
+    try:
+        for _ in range(NEWTON_MAX_ITER):
+            y0 = dt * o0
+            y1 = dt * o1
+            y2 = dt * o2
+            # w1 = hat(y) Pi, w2 = hat(y)^2 Pi
+            w10 = y1 * p2 - y2 * p1
+            w11 = y2 * p0 - y0 * p2
+            w12 = y0 * p1 - y1 * p0
+            w20 = y1 * w12 - y2 * w11
+            w21 = y2 * w10 - y0 * w12
+            w22 = y0 * w11 - y1 * w10
             if exp_tag:
-                _check_exp_chart(theta)
-            return (o0, o1, o2)
+                theta = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+                a = _coeff_a(theta)
+                b = _coeff_b(theta)
+                l0 = p0 - a * w10 + b * w20
+                l1 = p1 - a * w11 + b * w21
+                l2 = p2 - a * w12 + b * w22
+            else:
+                # normalized Cayley: dlog(y) = (I - hat(y/2)) / (1 + |y|^2/4)
+                c = 1.0 / (1.0 + 0.25 * (y0 * y0 + y1 * y1 + y2 * y2))
+                h0 = p0 - 0.5 * w10
+                h1 = p1 - 0.5 * w11
+                h2 = p2 - 0.5 * w12
+                l0 = c * h0
+                l1 = c * h1
+                l2 = c * h2
+            r0 = l0 - (i00 * o0 + i01 * o1 + i02 * o2)
+            r1 = l1 - (i10 * o0 + i11 * o1 + i12 * o2)
+            r2 = l2 - (i20 * o0 + i21 * o1 + i22 * o2)
+            if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
+                break
 
-        # k<j><i>: component i of the derivative of dlog(y) Pi along y_j
-        if exp_tag:
-            # b (y x (e_j x Pi) + e_j x w1) - a (e_j x Pi) + y_j (-da w1 + db w2)
-            da = _coeff_da(theta)
-            db = _coeff_db(theta)
-            ew00 = 0.0 * w12 - 0.0 * w11
-            ew01 = 0.0 * w10 - 1.0 * w12
-            ew02 = 1.0 * w11 - 0.0 * w10
-            ew10 = 1.0 * w12 - 0.0 * w11
-            ew11 = 0.0 * w10 - 0.0 * w12
-            ew12 = 0.0 * w11 - 1.0 * w10
-            ew20 = 0.0 * w12 - 1.0 * w11
-            ew21 = 1.0 * w10 - 0.0 * w12
-            ew22 = 0.0 * w11 - 0.0 * w10
-            sa0 = -da * y0
-            sa1 = -da * y1
-            sa2 = -da * y2
-            sb0 = db * y0
-            sb1 = db * y1
-            sb2 = db * y2
-            k00 = b * (y1 * ep02 - y2 * ep01 + ew00) - a * ep00 + (sa0 * w10 + sb0 * w20)
-            k01 = b * (y2 * ep00 - y0 * ep02 + ew01) - a * ep01 + (sa0 * w11 + sb0 * w21)
-            k02 = b * (y0 * ep01 - y1 * ep00 + ew02) - a * ep02 + (sa0 * w12 + sb0 * w22)
-            k10 = b * (y1 * ep12 - y2 * ep11 + ew10) - a * ep10 + (sa1 * w10 + sb1 * w20)
-            k11 = b * (y2 * ep10 - y0 * ep12 + ew11) - a * ep11 + (sa1 * w11 + sb1 * w21)
-            k12 = b * (y0 * ep11 - y1 * ep10 + ew12) - a * ep12 + (sa1 * w12 + sb1 * w22)
-            k20 = b * (y1 * ep22 - y2 * ep21 + ew20) - a * ep20 + (sa2 * w10 + sb2 * w20)
-            k21 = b * (y2 * ep20 - y0 * ep22 + ew21) - a * ep21 + (sa2 * w11 + sb2 * w21)
-            k22 = b * (y0 * ep21 - y1 * ep20 + ew22) - a * ep22 + (sa2 * w12 + sb2 * w22)
+            # k<j><i>: component i of the derivative of dlog(y) Pi along y_j
+            if exp_tag:
+                # b (y x (e_j x Pi) + e_j x w1) - a (e_j x Pi) + y_j (-da w1 + db w2)
+                da = _coeff_da(theta)
+                db = _coeff_db(theta)
+                ew00 = 0.0 * w12 - 0.0 * w11
+                ew01 = 0.0 * w10 - 1.0 * w12
+                ew02 = 1.0 * w11 - 0.0 * w10
+                ew10 = 1.0 * w12 - 0.0 * w11
+                ew11 = 0.0 * w10 - 0.0 * w12
+                ew12 = 0.0 * w11 - 1.0 * w10
+                ew20 = 0.0 * w12 - 1.0 * w11
+                ew21 = 1.0 * w10 - 0.0 * w12
+                ew22 = 0.0 * w11 - 0.0 * w10
+                sa0 = -da * y0
+                sa1 = -da * y1
+                sa2 = -da * y2
+                sb0 = db * y0
+                sb1 = db * y1
+                sb2 = db * y2
+                k00 = b * (y1 * ep02 - y2 * ep01 + ew00) - a * ep00 + (sa0 * w10 + sb0 * w20)
+                k01 = b * (y2 * ep00 - y0 * ep02 + ew01) - a * ep01 + (sa0 * w11 + sb0 * w21)
+                k02 = b * (y0 * ep01 - y1 * ep00 + ew02) - a * ep02 + (sa0 * w12 + sb0 * w22)
+                k10 = b * (y1 * ep12 - y2 * ep11 + ew10) - a * ep10 + (sa1 * w10 + sb1 * w20)
+                k11 = b * (y2 * ep10 - y0 * ep12 + ew11) - a * ep11 + (sa1 * w11 + sb1 * w21)
+                k12 = b * (y0 * ep11 - y1 * ep10 + ew12) - a * ep12 + (sa1 * w12 + sb1 * w22)
+                k20 = b * (y1 * ep22 - y2 * ep21 + ew20) - a * ep20 + (sa2 * w10 + sb2 * w20)
+                k21 = b * (y2 * ep20 - y0 * ep22 + ew21) - a * ep21 + (sa2 * w11 + sb2 * w21)
+                k22 = b * (y0 * ep21 - y1 * ep20 + ew22) - a * ep22 + (sa2 * w12 + sb2 * w22)
+            else:
+                # -c^2 y_j (Pi - hat(y) Pi / 2) / 2 - c (e_j x Pi) / 2
+                hc = 0.5 * c
+                s0 = -0.5 * c * c * y0
+                s1 = -0.5 * c * c * y1
+                s2 = -0.5 * c * c * y2
+                k00 = s0 * h0 - hc * ep00
+                k01 = s0 * h1 - hc * ep01
+                k02 = s0 * h2 - hc * ep02
+                k10 = s1 * h0 - hc * ep10
+                k11 = s1 * h1 - hc * ep11
+                k12 = s1 * h2 - hc * ep12
+                k20 = s2 * h0 - hc * ep20
+                k21 = s2 * h1 - hc * ep21
+                k22 = s2 * h2 - hc * ep22
+            jac = (
+                (dt * k00 - i00, dt * k10 - i01, dt * k20 - i02),
+                (dt * k01 - i10, dt * k11 - i11, dt * k21 - i12),
+                (dt * k02 - i20, dt * k12 - i21, dt * k22 - i22),
+            )
+            step = solve3(jac, (r0, r1, r2))
+            o0 = o0 - step[0]
+            o1 = o1 - step[1]
+            o2 = o2 - step[2]
         else:
-            # -c^2 y_j (Pi - hat(y) Pi / 2) / 2 - c (e_j x Pi) / 2
-            hc = 0.5 * c
-            s0 = -0.5 * c * c * y0
-            s1 = -0.5 * c * c * y1
-            s2 = -0.5 * c * c * y2
-            k00 = s0 * h0 - hc * ep00
-            k01 = s0 * h1 - hc * ep01
-            k02 = s0 * h2 - hc * ep02
-            k10 = s1 * h0 - hc * ep10
-            k11 = s1 * h1 - hc * ep11
-            k12 = s1 * h2 - hc * ep12
-            k20 = s2 * h0 - hc * ep20
-            k21 = s2 * h1 - hc * ep21
-            k22 = s2 * h2 - hc * ep22
-        jac = (
-            (dt * k00 - i00, dt * k10 - i01, dt * k20 - i02),
-            (dt * k01 - i10, dt * k11 - i11, dt * k21 - i12),
-            (dt * k02 - i20, dt * k12 - i21, dt * k22 - i22),
-        )
-        step = solve3(jac, (r0, r1, r2))
-        o0 = o0 - step[0]
-        o1 = o1 - step[1]
-        o2 = o2 - step[2]
-
-    raise NoConvergence(NEWTON_MAX_ITER, max(abs(r0), abs(r1), abs(r2)))
+            raise NoConvergence(NEWTON_MAX_ITER, max(abs(r0), abs(r1), abs(r2)))
+    except (GeomintError, ArithmeticError, ValueError) as exc:
+        _name_iterate(exc, dt, (o0, o1, o2), params, pi)
+        raise
+    if exp_tag:
+        _check_exp_chart(theta)
+    return (o0, o1, o2)
 
 
 def _lp_left_core(params, r_mat, pi: Vec3, dt: float, ret: TrivializedRetraction):
@@ -537,34 +554,40 @@ def _solve_heavytop_omega(
     """Fixed-point iteration with a finite-difference Newton fallback.
 
     Returns (Omega, d, Pi', Gamma') from the evaluation at the converged Omega.
+    A failure names the |dt*Omega| of the fixed-point iterate it stopped at,
+    which for a failed fallback is the one the fallback started from.
     """
     inertia = params.inertia
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
     omega = mat_vec(params.inertia_inv, pi)
-    for _ in range(HEAVYTOP_FP_BUDGET):
-        res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
-        r0, r1, r2 = res
-        if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
-            return omega, d, pi_new, gamma_new
-        # Omega + I^-1 res
-        omega = (
-            omega[0] + (v00 * r0 + v01 * r1 + v02 * r2),
-            omega[1] + (v10 * r0 + v11 * r1 + v12 * r2),
-            omega[2] + (v20 * r0 + v21 * r1 + v22 * r2),
-        )
+    try:
+        for _ in range(HEAVYTOP_FP_BUDGET):
+            res, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
+            r0, r1, r2 = res
+            if max(abs(r0), abs(r1), abs(r2)) <= NEWTON_TOL:
+                return omega, d, pi_new, gamma_new
+            # Omega + I^-1 res
+            omega = (
+                omega[0] + (v00 * r0 + v01 * r1 + v02 * r2),
+                omega[1] + (v10 * r0 + v11 * r1 + v12 * r2),
+                omega[2] + (v20 * r0 + v21 * r1 + v22 * r2),
+            )
 
-    # stiff parameters: fall back to Newton on the same residual
-    import numpy as np
+        # stiff parameters: fall back to Newton on the same residual
+        import numpy as np
 
-    def residual(stack: np.ndarray) -> np.ndarray:
-        return np.array([
-            _heavytop_eval(inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, ret)[0]
-            for row in stack
-        ])
+        def residual(stack: np.ndarray) -> np.ndarray:
+            return np.array([
+                _heavytop_eval(inertia, pi, gamma, (row[0], row[1], row[2]), dt, z, ret)[0]
+                for row in stack
+            ])
 
-    sol = newton_solve(residual, np.array(omega))
-    omega = (sol[0], sol[1], sol[2])
-    _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
+        sol = newton_solve(residual, np.array(omega))
+        omega = (sol[0], sol[1], sol[2])
+        _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
+    except (GeomintError, ArithmeticError, ValueError) as exc:
+        _name_iterate(exc, dt, omega, params, pi)
+        raise
     return omega, d, pi_new, gamma_new
 
 

@@ -237,9 +237,13 @@ def _validated_inertia(inertia) -> tuple[Mat3, Mat3]:
     if d1 <= 0.0 or d2 <= 0.0 or d3 <= 0.0:
         raise ValueError("inertia matrix is not positive definite")
     try:
-        return mat, so3.mat_inv(mat)
+        inv = so3.mat_inv(mat)
     except SingularMatrix as exc:
         raise ValueError(f"inertia matrix {mat} cannot be inverted: {exc}") from exc
+    # positive minors can still be subnormal, and 1/det then overflows
+    if not so3.mat_is_finite(inv):
+        raise ValueError(f"inertia matrix {mat} cannot be inverted: its inverse is not finite")
+    return mat, inv
 
 
 class RigidBodyParams(Value):

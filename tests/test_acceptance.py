@@ -2,8 +2,8 @@
 
 One test per criterion; each prints a single PASS/FAIL line (run pytest with
 -s to see them live).  The long rotational runs stream their trajectories so
-the whole suite stays within desk-scale memory, and the independent runs of
-criteria 4-6 share compare's forked workers.
+the whole suite stays within desk-scale memory, and the ten independent runs
+of criteria 4-6 share one call of compare's forked workers.
 """
 
 import math
@@ -182,9 +182,10 @@ def test_criterion_3_embedded_pendulum():
 
 # --- criteria 4-6: long runs ----------------------------------------------------------------
 #
-# Each criterion's independent runs go through compare's forked workers, one
-# per usable CPU.  A run returns its figures by name; they travel as repr
-# strings, which float() reads back exactly, and the bounds apply here.
+# The independent runs of criteria 4-6 go through compare's forked workers, one
+# per usable CPU, in one call.  A run returns its figures by name; they travel
+# as repr strings, which float() reads back exactly, and each criterion
+# applies its bounds to its own runs.
 
 def _figures_in_workers(fn, items):
     """fn(item), a dict of figures, for each item in order, from forked workers."""
@@ -196,6 +197,27 @@ def _figures_in_workers(fn, items):
         {key: float(text) for key, text in zip(r[::2], r[1::2])}
         for r in bench._rows_in_workers(row, items)
     ]
+
+
+# (criterion, run), longest first so that the workers finish together: run
+# alone on a 2-vCPU VM they take from 9.1 s (heavy-top lp_exp) down to 3.3 s
+# (the hover run)
+_LONG_RUNS = (
+    (5, "lp_exp"), (6, "decoupled"), (4, "quat_rk4"), (5, "lp_cayley"), (4, "rkmk4"),
+    (5, "rkmk4"), (4, "lp_exp"), (5, "quat_rk4"), (4, "lp_cayley"), (6, "hover"),
+)
+
+
+@pytest.fixture(scope="module")
+def long_runs():
+    """Figures of each run in _LONG_RUNS, keyed by (criterion, run), from one pool call."""
+    figures = {
+        4: _rigid_body_figures,
+        5: _heavy_top_figures,
+        6: lambda run: _hover_figures() if run == "hover" else _decoupled_figures(),
+    }
+    rows = _figures_in_workers(lambda item: figures[item[0]](item[1]), _LONG_RUNS)
+    return dict(zip(_LONG_RUNS, rows))
 
 
 def _stream_group_run(scenario, integrator, columns):
@@ -284,11 +306,10 @@ def _rigid_body_figures(name):
     }
 
 
-def test_criterion_4_rigid_body():
+def test_criterion_4_rigid_body(long_runs):
     failures = []
     dt = 0.01
-    names = ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")
-    runs = dict(zip(names, _figures_in_workers(_rigid_body_figures, names)))
+    runs = {name: long_runs[4, name] for name in ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")}
     # geometric yardsticks for the baseline clause, floored at one ulp of
     # C = 3 (over the run's length, for the slope) so they never read 0
     cas_yardstick = math.ulp(3.0)
@@ -332,11 +353,10 @@ def _heavy_top_figures(name):
     }
 
 
-def test_criterion_5_heavy_top():
+def test_criterion_5_heavy_top(long_runs):
     failures = []
     dt = 0.01
-    names = ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")
-    runs = dict(zip(names, _figures_in_workers(_heavy_top_figures, names)))
+    runs = {name: long_runs[5, name] for name in ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4")}
 
     for name in ("lp_exp", "lp_cayley"):
         g_dev = runs[name]["g_dev"]
@@ -403,11 +423,9 @@ def _decoupled_figures():
     return {"mismatch": 0}
 
 
-def test_criterion_6_quadrotor_hover():
+def test_criterion_6_quadrotor_hover(long_runs):
     failures = []
-    hover, decoupled = _figures_in_workers(
-        lambda run: run(), (_hover_figures, _decoupled_figures)
-    )
+    hover, decoupled = long_runs[6, "hover"], long_runs[6, "decoupled"]
     if hover["worst_q"] > 1e-10:
         failures.append(f"hover position deviates by {hover['worst_q']:.3e} > 1e-10")
     if hover["worst_p"] > 1e-10:

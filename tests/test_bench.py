@@ -58,14 +58,42 @@ class TestConfig:
         with pytest.raises(IncompatiblePair):
             default_config("harmonic", "lp_exp")
 
+    def test_scenario_table_exports(self):
+        # the names the CLI and scripts read, derived from the one scenario table
+        flat = (
+            "explicit_euler", "implicit_euler", "sympl_euler_a", "sympl_euler_b",
+            "stormer_verlet", "rk2", "rk4", "theta_family",
+        )
+        group = ("lp_exp", "lp_cayley", "lp_exp_right", "quat_rk4", "rkmk4")
+        assert bench.SCENARIOS == (
+            "harmonic", "kepler", "pendulum_embedded",
+            "rigidbody", "heavytop", "quadrotor_hover",
+        )
+        assert bench.INTEGRATORS == flat + group
+        assert bench.COMPAT == {
+            "harmonic": flat,
+            "kepler": flat,
+            "pendulum_embedded": ("explicit_euler", "implicit_euler", "rk2", "rk4"),
+            "rigidbody": group,
+            "heavytop": ("lp_exp", "lp_cayley", "quat_rk4", "rkmk4"),
+            "quadrotor_hover": ("lp_exp", "lp_cayley"),
+        }
+        assert list(bench.COMPAT) == list(bench.SCENARIOS)
+
     def test_every_cross_pair_rejected(self):
-        # flat one-step schemes never run group scenarios and vice versa
-        for scenario in bench.GROUP_SCENARIOS:
-            for integrator in bench.FLAT_INTEGRATORS:
+        # flat one-step schemes never run scenarios with an attitude and vice versa
+        group = [s for s in bench.SCENARIOS if "R11" in scenario_columns(s)]
+        flat = [s for s in bench.SCENARIOS if s not in group]
+        assert group == ["rigidbody", "heavytop", "quadrotor_hover"]
+        flat_names = {name for s in flat for name in bench.COMPAT[s]}
+        group_names = {name for s in group for name in bench.COMPAT[s]}
+        assert flat_names.isdisjoint(group_names)
+        for scenario in group:
+            for integrator in flat_names:
                 with pytest.raises(IncompatiblePair):
                     default_config(scenario, integrator)
-        for scenario in bench.FLAT_SCENARIOS:
-            for integrator in bench.GROUP_INTEGRATORS:
+        for scenario in flat:
+            for integrator in group_names:
                 with pytest.raises(IncompatiblePair):
                     default_config(scenario, integrator)
 
@@ -259,6 +287,15 @@ class TestParseConfig:
             parse_config(str(path))
         assert err.value.line_no == 3
         assert "x0 = 1,,0,0.5" in str(err.value)
+        # a key given twice names the second line; the last one does not win
+        path.write_text(
+            "scenario = harmonic\nintegrator = rk4\nsteps = 3\n# again\n steps=5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            parse_config(str(path))
+        assert err.value.line_no == 5
+        assert str(err.value) == "line 5: key 'steps' given again in ' steps=5'"
 
     def test_incompatible_pair_from_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -589,7 +626,8 @@ class TestCompare:
         # 300 flat steps reach the non-finite state of pendulum_embedded
         # explicit_euler at step 251 and the failure of kepler implicit_euler
         # at step 133
-        steps = 300 if scenario in bench.FLAT_SCENARIOS else 200
+        attitude = "R11" in scenario_columns(scenario)
+        steps = 200 if attitude else 300
         rot = ("R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33")
         rows = {}
         for name in bench.COMPAT[scenario]:
@@ -603,11 +641,11 @@ class TestCompare:
                     rows[name] = exc.step
                     continue
                 expected = [name]
-                for column in bench._INVARIANT_COLUMNS[scenario]:
+                for column in bench._SCENARIO_TABLE[scenario]["invariants"]:
                     v = np.array([rec.value(column) for rec in records])
                     expected.append("%.3e" % float(np.max(np.abs(v - v[0]))))
                 rows[name] = bench._compare_row(config)[:-1]
-            if scenario in bench.GROUP_SCENARIOS:
+            if attitude:
                 defects = []
                 for rec in records:
                     r = [rec.value(c) for c in rot]
@@ -641,6 +679,19 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_repeated_param_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        run = ["run", "--scenario", "kepler", "--integrator", "rk4", "--steps", "3",
+               "--out", str(out)]
+        assert cli.main([*run, "--param", "mu=2", "--param", " mu=3"]) == 1
+        assert capsys.readouterr().err == "error: --param mu is given twice\n"
+        assert not out.exists()
+        # a file key and a flag for it are no repeat: the flag wins
+        path = tmp_path / "run.cfg"
+        path.write_text("mu = 2\nsteps = 7\n", encoding="utf-8")
+        assert cli.main([*run, "--config", str(path), "--param", "mu=3"]) == 0
+        assert len(read_csv(str(out))) == 3
 
     def test_usage_error_exit_code(self, tmp_path, capsys, monkeypatch):
         code = cli.main(
@@ -713,10 +764,38 @@ class TestCli:
                 "rigidbody", "lp_exp", "0.01", ("Pi0=1e160,1e160,1e160",),
                 "step 1: ValueError: math domain error",
             ),
+            # a failed rotational solve names |dt*Omega| where it stopped, and the
+            # first iterate's when that one is not finite
+            (
+                "rigidbody", "lp_exp", "0.01", ("Pi0=1e120,0,0",),
+                "step 1: OverflowError: (34, 'Numerical result out of range') "
+                "at |dt*Omega| = 1e+118\n",
+            ),
+            (
+                "rigidbody", "lp_exp", "0.01", ("Pi0=1e200,0,0",),
+                "step 1: ValueError: math domain error at |dt*Omega| = 1e+198\n",
+            ),
+            (
+                "rigidbody", "lp_cayley", "0.01", ("Pi0=1e155,0,0",),
+                "step 1: no convergence after 50 iterations (residual inf-norm nan) "
+                "at |dt*Omega| = nan (first iterate 1e+153)\n",
+            ),
+            (
+                "heavytop", "lp_exp", "0.01", ("g=1e308",),
+                "step 1: ValueError: math domain error at |dt*Omega| = 1.66675e+301\n",
+            ),
+            (
+                "heavytop", "lp_cayley", "0.01", ("g=1e308",),
+                "step 1: non-finite Newton step at |dt*Omega| = nan "
+                "(first iterate 0.0100504)\n",
+            ),
         ],
         ids=[
             "kepler_no_convergence", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
             "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
+            "rigidbody_exp_overflow_names_iterate", "rigidbody_exp_domain_names_iterate",
+            "rigidbody_cayley_nan_names_first_iterate", "heavytop_exp_domain_names_iterate",
+            "heavytop_cayley_newton_names_first_iterate",
         ],
     )
     def test_integrator_failure_exit_code(
@@ -776,6 +855,18 @@ class TestCli:
         a = 1.0 - 1e-15
         with pytest.raises(ValueError, match="inertia matrix .* cannot be inverted"):
             RigidBodyParams(((1.0, a, 0.0), (a, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        # a subnormal moment passes the pivots and the relative guard, but its
+        # inverse overflows; the run exits 1 before any step and writes nothing
+        capsys.readouterr()
+        for scenario in ("rigidbody", "quadrotor_hover"):
+            argv = ["run", "--scenario", scenario, "--integrator", "lp_exp", "--steps", "3",
+                    "--param", "I1=1e-320", "--out", str(out)]
+            out.unlink(missing_ok=True)
+            assert cli.main(argv) == 1, scenario
+            err = capsys.readouterr().err
+            assert "inertia matrix ((1e-320, 0.0, 0.0)" in err, err
+            assert "cannot be inverted: its inverse is not finite" in err, err
+            assert not out.exists()
 
     def test_non_unit_gamma0_is_a_config_error(self, tmp_path, capsys):
         # only the Lie-Poisson steps need |Gamma| = 1; the run checks Gamma0 at setup
@@ -911,7 +1002,7 @@ class TestCli:
 
             out = sys.argv[1]
             unloaded("importing geomint.cli")
-            for scenario in bench.GROUP_SCENARIOS:
+            for scenario in ("rigidbody", "heavytop", "quadrotor_hover"):
                 for integrator in bench.COMPAT[scenario]:
                     argv = ["run", "--scenario", scenario, "--integrator", integrator,
                             "--steps", "3", "--out", out]
