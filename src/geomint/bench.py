@@ -103,12 +103,13 @@ class ScenarioConfig(Value):
         if steps < 1:
             raise ValueError("steps must be at least 1")
         merged = dict(base["params"])
+        switches = base.get("switches", ())
         for key, value in (params or {}).items():
             if key not in merged:
                 raise UnknownKey(f"unknown key {key!r} for scenario {scenario!r}")
-            if key == "project" and isinstance(value, bool):
+            if key in switches and isinstance(value, bool):
                 value = float(value)
-            _check_param(key, merged[key], value)
+            _check_param(key, merged[key], value, key in switches)
             merged[key] = value
         store(self, "scenario", scenario)
         store(self, "integrator", integrator)
@@ -125,8 +126,8 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
-def _check_param(key: str, default, value) -> None:
-    """Reject a model parameter that is not finite or not shaped like its default."""
+def _check_param(key: str, default, value, switch: bool) -> None:
+    """Reject a non-finite parameter, one shaped unlike its default, or a switch not 0 or 1."""
     if isinstance(default, tuple):
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"{key} expects {len(default)} components, got {value!r}")
@@ -143,9 +144,8 @@ def _check_param(key: str, default, value) -> None:
             raise ValueError(f"{key} must be numeric, got {value!r}")
         if not math.isfinite(item):
             raise ValueError(f"{key} must be finite, got {value!r}")
-    # a switch, so any other number would read as on
-    if key == "project" and value not in (0.0, 1.0):
-        raise ValueError(f"project must be 0 or 1, got {value!r}")
+    if switch and value not in (0.0, 1.0):
+        raise ValueError(f"{key} must be 0 or 1, got {value!r}")
 
 
 # the name the CLI and scripts build a stock config by
@@ -160,7 +160,7 @@ def _parse_value(text: str):
         return tuple(float(part) for part in text.split(","))
     lowered = text.lower()
     if lowered in ("true", "false"):
-        # a switch word; only project takes one, and any other key rejects a bool
+        # a switch word; only a switch takes one, and any other key rejects a bool
         return lowered == "true"
     try:
         return float(text)
@@ -417,10 +417,10 @@ _FLAT_INTEGRATORS = (
     "stormer_verlet", "rk2", "rk4", "theta_family",
 )
 
-# One entry per scenario: its admissible integrators, default dt and steps
-# (the benchmark figures of record), model parameters with their defaults,
-# value columns after step,t, the invariant columns compare reports, and the
-# setup.  Values that start with R11 ... R33 carry an attitude.
+# One entry per scenario: admissible integrators, default dt and steps (the
+# benchmark figures of record), model parameters with their defaults, the
+# "switches" among them (0 or 1 only), value columns after step,t, the invariant
+# columns compare reports and the setup.  Values from R11 ... R33 on carry an attitude.
 _SCENARIO_TABLE: dict[str, dict] = {
     "harmonic": {
         "integrators": _FLAT_INTEGRATORS,
@@ -444,6 +444,7 @@ _SCENARIO_TABLE: dict[str, dict] = {
         "integrators": ("explicit_euler", "implicit_euler", "rk2", "rk4"),
         "dt": 0.1, "steps": 1000,
         "params": {"ml2": 1.0, "mgl": 1.0, "theta0": 1.0, "p0": 0.0, "project": 0.0},
+        "switches": ("project",),
         "columns": ("x", "y", "z", "energy", "cylinder_defect"),
         "invariants": ("energy", "cylinder_defect"),
         "setup": _setup_pendulum,

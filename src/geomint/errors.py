@@ -40,11 +40,12 @@ class DimMismatch(GeomintError):
 
 
 class NoConvergence(GeomintError):
-    """Newton iteration failed to reach tolerance."""
+    """Newton iteration failed to reach tolerance; ``iterate`` is where it stopped, if known."""
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, residual: float, iterate=None):
         self.iterations = iterations
         self.residual = residual
+        self.iterate = iterate
         super().__init__(
             f"no convergence after {iterations} iterations "
             f"(residual inf-norm {residual:.3e})"
@@ -52,7 +53,11 @@ class NoConvergence(GeomintError):
 
 
 class SingularJacobian(GeomintError):
-    """Finite-difference Jacobian is singular at the current iterate."""
+    """Finite-difference Jacobian is singular at the current iterate, ``iterate``."""
+
+    def __init__(self, message: str, iterate=None):
+        self.iterate = iterate
+        super().__init__(message)
 
 
 class SingularOrigin(GeomintError):

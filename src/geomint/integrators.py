@@ -554,8 +554,8 @@ def _solve_heavytop_omega(
     """Fixed-point iteration with a finite-difference Newton fallback.
 
     Returns (Omega, d, Pi', Gamma') from the evaluation at the converged Omega.
-    A failure names the |dt*Omega| of the fixed-point iterate it stopped at,
-    which for a failed fallback is the one the fallback started from.
+    A failure names the |dt*Omega| of the iterate it stopped at: the fixed-point
+    one, or for a failed fallback the Newton one.
     """
     inertia = params.inertia
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
@@ -586,7 +586,7 @@ def _solve_heavytop_omega(
         omega = (sol[0], sol[1], sol[2])
         _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
     except (GeomintError, ArithmeticError, ValueError) as exc:
-        _name_iterate(exc, dt, omega, params, pi)
+        _name_iterate(exc, dt, getattr(exc, "iterate", None) or omega, params, pi)
         raise
     return omega, d, pi_new, gamma_new
 
@@ -866,12 +866,13 @@ def _dexpinv_apply(u: Vec3, k: Vec3) -> Vec3:
 
 
 def rkmk4_step(params, state, dt: float):
-    """Fourth-order Munthe-Kaas step: RK4 in the algebra, exp reconstruction.
+    """Runge-Kutta-Munthe-Kaas step: RK4 in the algebra, exp reconstruction.
 
     Solves u_dot = dexpinv_u(Omega), u(0) = 0 leading the sequence that
     ``_rk4_baseline`` advances, and maps back with R' = R exp(hat(u)); a stage
-    at |u| >= 2 pi raises OutOfChart.  The group constraint holds to roundoff;
-    energy and Casimirs are not preserved.
+    at |u| >= 2 pi raises OutOfChart.  The group constraint holds to roundoff,
+    energy and Casimirs do not.  Measured orders: 4 for the momenta, 2 for the
+    attitude, whose left reconstruction needs dexpinv at -u (ROADMAP item 13).
     """
     y = _rk4_baseline("rkmk4", params, state, (0.0, 0.0, 0.0), _dexpinv_apply, dt)
     r_new = Rotation(so3.mat_mul(state.R.m, so3._exp_matrix(y[:3])))

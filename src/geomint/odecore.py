@@ -198,7 +198,8 @@ def newton_solve(
 
     Raises NoConvergence when the inf-norm stays above NEWTON_TOL after
     NEWTON_MAX_ITER iterations, SingularJacobian when the finite-difference
-    Jacobian cannot be inverted.
+    Jacobian cannot be inverted; either carries the iterate x it stopped at
+    as the tuple ``iterate``.
     """
     import numpy as np
 
@@ -222,14 +223,14 @@ def newton_solve(
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            raise SingularJacobian(str(exc), tuple(x.tolist())) from exc
         if not all(map(math.isfinite, step.tolist())):
-            raise SingularJacobian("non-finite Newton step")
+            raise SingularJacobian("non-finite Newton step", tuple(x.tolist()))
         x = x - step
     r = np.asarray(residual(x[None]), dtype=float)[0]
     if all(abs(v) <= tol for v in r.tolist()):
         return x
-    raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(r))))
+    raise NoConvergence(NEWTON_MAX_ITER, float(np.max(np.abs(r))), tuple(x.tolist()))
 
 
 @functools.lru_cache(maxsize=32)

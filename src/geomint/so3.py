@@ -311,15 +311,7 @@ def _exp_matrix(v: Vec3) -> Mat3:
     """Rodrigues form I + sinc(theta) hat(v) + a(theta) hat(v)^2."""
     x, y, z = v
     theta = math.sqrt(x * x + y * y + z * z)
-    s = _sinc(theta)
-    a = _coeff_a(theta)
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    return (
-        (1.0 - a * (yy + zz), a * xy - s * z, a * xz + s * y),
-        (a * xy + s * z, 1.0 - a * (xx + zz), a * yz - s * x),
-        (a * xz - s * y, a * yz + s * x, 1.0 - a * (xx + yy)),
-    )
+    return _abc_matrix(v, _sinc(theta), _coeff_a(theta))
 
 
 def exp_so3(v: Vec3) -> "Rotation":

@@ -789,13 +789,26 @@ class TestCli:
                 "step 1: non-finite Newton step at |dt*Omega| = nan "
                 "(first iterate 0.0100504)\n",
             ),
+            # a heavy-top Newton fallback that fails names Newton's last iterate,
+            # not the fixed-point one it started from (41.5229)
+            (
+                "heavytop", "lp_exp", "0.21913369551467826",
+                (
+                    "g=2192.304781991478",
+                    "chi=1.3093217603983787,-0.2336790001157545,0.9901070798229812",
+                    "Pi0=1.7030556641407104,-1.9663148906708239,0.8758060614355943",
+                    "Gamma0=0.6090455888019537,-0.5543357561714068,-0.56725244837793",
+                ),
+                "step 1: no convergence after 50 iterations (residual inf-norm 4.435e+02) "
+                "at |dt*Omega| = 5.02984\n",
+            ),
         ],
         ids=[
             "kepler_no_convergence", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
             "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
             "rigidbody_exp_overflow_names_iterate", "rigidbody_exp_domain_names_iterate",
             "rigidbody_cayley_nan_names_first_iterate", "heavytop_exp_domain_names_iterate",
-            "heavytop_cayley_newton_names_first_iterate",
+            "heavytop_cayley_newton_names_first_iterate", "heavytop_fallback_names_newton_iterate",
         ],
     )
     def test_integrator_failure_exit_code(

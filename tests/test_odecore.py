@@ -117,12 +117,16 @@ class TestNewton:
         assert abs(float(out[0]) - 2.0) < 1e-12
 
     def test_flat_residual_singular(self):
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(SingularJacobian) as info:
             newton_solve(lambda x: np.ones_like(x), np.array([0.0]))
+        assert info.value.iterate == (0.0,)
 
     def test_no_real_root(self):
-        with pytest.raises(NoConvergence, match="no convergence after 50 iterations"):
+        with pytest.raises(NoConvergence, match="no convergence after 50 iterations") as info:
             newton_solve(lambda x: x * x + 1.0, np.array([0.5]))
+        # the iterate it stopped at, whose residual the message reports
+        (x,) = info.value.iterate
+        assert info.value.residual == abs(x * x + 1.0)
 
     def test_kepler_stormer_verlet_stacks(self, monkeypatch):
         # one stock Kepler Stormer-Verlet step: a solve with k updates calls the
