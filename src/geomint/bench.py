@@ -92,7 +92,7 @@ class ScenarioConfig(Value):
         if integrator == "theta_family":
             theta = _number("theta", 0.5 if theta is None else theta)
             if not 0.0 <= theta <= 1.0:
-                raise ValueError("theta must lie in [0, 1]")
+                raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
         elif theta is not None:
             raise ValueError(f"theta applies to theta_family only, not {integrator}")
         dt = _number("dt", dt)
@@ -394,7 +394,13 @@ def _setup_quadrotor(config: ScenarioConfig):
     p = config.params
     params = mech.QuadrotorParams(inertia=_inertia_from(p), m=p["m"], g=p["g"])
     dt = config.dt
-    thrust = p["F"] if p["F"] is not None else params.m * params.g
+    thrust = p["F"]
+    if thrust is None:
+        thrust = params.m * params.g
+        if not math.isfinite(thrust):
+            raise ValueError(
+                f"F = m*g must be finite, got m = {params.m!r}, g = {params.g!r}"
+            )
     u = gi.QuadrotorInput(M=tuple(p["M"]), F=float(thrust))  # type: ignore[arg-type]
     ret = cayley_retraction() if config.integrator == "lp_cayley" else exp_retraction()
     state = gi.QuadrotorState(

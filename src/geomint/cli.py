@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or config error, 2 integrator failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench
@@ -133,6 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # OpenBLAS starts a worker thread when numpy is imported, and that thread
+    # spins for about 0.13 s of CPU without ever getting work: the largest
+    # system solved here is 8x8.  Set before any command imports numpy, this
+    # reaches compare's forked workers too.  A thread count the user set still
+    # wins (OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are read first); library
+    # use, which never calls main, leaves the environment alone.
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

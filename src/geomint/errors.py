@@ -53,11 +53,17 @@ class NoConvergence(GeomintError):
 
 
 class SingularJacobian(GeomintError):
-    """Finite-difference Jacobian is singular at the current iterate, ``iterate``."""
+    """Finite-difference Jacobian is singular at the current iterate, ``iterate``.
 
-    def __init__(self, message: str, iterate=None):
+    ``reason`` is the cause alone; the message names the iterate, if known.
+    """
+
+    def __init__(self, reason: str, iterate=None):
+        self.reason = reason
         self.iterate = iterate
-        super().__init__(message)
+        if iterate is not None:
+            reason += " at x = (" + ", ".join(f"{v:.6g}" for v in iterate) + ")"
+        super().__init__(reason)
 
 
 class SingularOrigin(GeomintError):

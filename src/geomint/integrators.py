@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 
 from . import so3
-from .errors import GeomintError, NoConvergence, NotRotation, OutOfChart
+from .errors import GeomintError, NoConvergence, NotRotation, OutOfChart, SingularJacobian
 from .geometry import EXP_TAG, TrivializedRetraction, cayley_retraction, exp_retraction
 from .mechanics import HeavyTopParams, QuadrotorParams, RigidBodyParams
 from .odecore import (
@@ -225,13 +225,16 @@ def _check_exp_chart(theta: float) -> None:
 
 def _name_iterate(exc: Exception, dt: float, omega: Vec3, params, pi: Vec3) -> None:
     """Append |dt*Omega| of the iterate a failed solve stopped at to exc's message,
-    and that of the first iterate I^-1 Pi when the last one is not finite."""
+    and that of the first iterate I^-1 Pi when the last one is not finite.
+
+    A SingularJacobian keeps only its reason, since |dt*Omega| names its iterate."""
     y = math.hypot(*vec_scale(omega, dt))
     note = f" at |dt*Omega| = {y:.6g}"
     if not math.isfinite(y):
         y0 = math.hypot(*vec_scale(mat_vec(params.inertia_inv, pi), dt))
         note += f" (first iterate {y0:.6g})"
-    exc.args = (f"{exc}{note}",)
+    base = exc.reason if isinstance(exc, SingularJacobian) else exc
+    exc.args = (f"{base}{note}",)
 
 
 def _solve_body_omega(params, pi: Vec3, dt: float, ret: TrivializedRetraction) -> Vec3:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ from geomint.mechanics import RigidBodyParams, orthogonality_defect
 RIGIDBODY_HEADER = (
     "step,t,R11,R12,R13,R21,R22,R23,R31,R32,R33,Pi1,Pi2,Pi3,energy,casimir"
 )
+
+
+@pytest.fixture(autouse=True)
+def _environ_restored():
+    # cli.main sets OMP_NUM_THREADS in the process it runs in, and the in-process
+    # CLI tests share this one; each test leaves os.environ as it found it
+    with mock.patch.dict(os.environ):
+        yield
 
 
 class TestConfig:
@@ -802,6 +811,13 @@ class TestCli:
                 "step 1: no convergence after 50 iterations (residual inf-norm 4.435e+02) "
                 "at |dt*Omega| = 5.02984\n",
             ),
+            # a flat Newton solve walks out to where its finite-difference
+            # Jacobian is singular, and names that iterate
+            (
+                "kepler", "implicit_euler", "0.01", ("mu=1e308",),
+                "step 1: Singular matrix at x = "
+                "(1.10709e+07, 3.60853e-286, 1.13863e+09, 3.60853e-284)\n",
+            ),
         ],
         ids=[
             "kepler_no_convergence", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
@@ -809,6 +825,7 @@ class TestCli:
             "rigidbody_exp_overflow_names_iterate", "rigidbody_exp_domain_names_iterate",
             "rigidbody_cayley_nan_names_first_iterate", "heavytop_exp_domain_names_iterate",
             "heavytop_cayley_newton_names_first_iterate", "heavytop_fallback_names_newton_iterate",
+            "flat_newton_names_singular_iterate",
         ],
     )
     def test_integrator_failure_exit_code(
@@ -825,6 +842,26 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "integrator failed at step" in err and cause in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--scenario", "harmonic", "--integrator", "rk4", "--dt", "-0.01"],
+             "dt must be positive and finite, got -0.01"),
+            (["--scenario", "kepler", "--integrator", "theta_family", "--theta", "nan"],
+             "theta must lie in [0, 1], got nan"),
+            # F defaults to m*g; the user set m, not F, so both factors are named
+            (["--scenario", "quadrotor_hover", "--integrator", "lp_exp",
+              "--param", "m=1e308"],
+             "F = m*g must be finite, got m = 1e+308, g = 9.81"),
+        ],
+        ids=["dt_negative", "theta_nan", "hover_thrust_overflow"],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert cli.main(["run", *args, "--steps", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_non_finite_flat_state_fails_at_its_step(self, tmp_path, capsys):
@@ -1050,6 +1087,62 @@ class TestCli:
             check=False,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_runs_blas_on_one_thread_unless_set(self, tmp_path):
+        # OpenBLAS starts its worker threads when numpy is imported, so every
+        # case is a fresh interpreter, with no BLAS thread variable of its own
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("threads are counted in /proc/self/task")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("on one CPU BLAS starts no worker thread either way")
+        script = textwrap.dedent(
+            """
+            import json, os, sys
+            from geomint import bench, cli
+
+            before = dict(os.environ)
+            if sys.argv[1] == "cli":
+                argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
+                        "--steps", "3", "--out", sys.argv[2]]
+                assert cli.main(argv) == 0, argv
+            else:
+                bench.run_scenario(bench.default_config("kepler", "stormer_verlet", steps=3))
+            assert "numpy" in sys.modules
+            changed = {
+                key: os.environ.get(key)
+                for key in set(before) | set(os.environ)
+                if before.get(key) != os.environ.get(key)
+            }
+            print(json.dumps([len(os.listdir("/proc/self/task")), changed]))
+            """
+        )
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "MKL_NUM_THREADS")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geomint.__file__)))
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = src
+
+        def threads_and_changes(mode, **preset):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode, str(tmp_path / "x.csv")],
+                env={**env, **preset},
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        # the CLI sets one thread, and its BLAS worker is never started
+        assert threads_and_changes("cli") == [1, {"OMP_NUM_THREADS": "1"}]
+        # a count the user set wins: OpenBLAS reads its own variable first
+        assert threads_and_changes("cli", OPENBLAS_NUM_THREADS="2") == [
+            2, {"OMP_NUM_THREADS": "1"}
+        ]
+        # and an OMP_NUM_THREADS already set is kept
+        assert threads_and_changes("cli", OMP_NUM_THREADS="2") == [2, {}]
+        # library use leaves the environment alone
+        assert threads_and_changes("library")[1] == {}
 
 
 class TestConformance:

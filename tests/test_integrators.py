@@ -1128,9 +1128,9 @@ def _newton_solve_reference(residual, x0):
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            raise SingularJacobian(str(exc), tuple(x.tolist())) from exc
         if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
+            raise SingularJacobian("non-finite Newton step", tuple(x.tolist()))
         x = x - step
         r = np.asarray(residual(x), dtype=float)
     if np.max(np.abs(r)) <= NEWTON_TOL:

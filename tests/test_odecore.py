@@ -88,9 +88,9 @@ def _newton_two_calls(residual, x0):
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            raise SingularJacobian(str(exc), tuple(x.tolist())) from exc
         if not all(map(math.isfinite, step.tolist())):
-            raise SingularJacobian("non-finite Newton step")
+            raise SingularJacobian("non-finite Newton step", tuple(x.tolist()))
         x = x - step
         r = np.asarray(residual(x[None]), dtype=float)[0]
     if all(abs(v) <= ode.NEWTON_TOL for v in r.tolist()):
@@ -120,6 +120,18 @@ class TestNewton:
         with pytest.raises(SingularJacobian) as info:
             newton_solve(lambda x: np.ones_like(x), np.array([0.0]))
         assert info.value.iterate == (0.0,)
+        assert str(info.value) == "Singular matrix at x = (0)"
+
+    def test_non_finite_step_names_the_iterate(self):
+        # a Jacobian of 1e-300 against a residual of 1e300 at x = (0, 2)
+        def residual(x):
+            return 1e-300 * x + 1e300 * (x == 0.0)
+
+        with pytest.raises(SingularJacobian) as info:
+            newton_solve(residual, np.array([0.0, 2.0]))
+        assert info.value.iterate == (0.0, 2.0)
+        assert info.value.reason == "non-finite Newton step"
+        assert str(info.value) == "non-finite Newton step at x = (0, 2)"
 
     def test_no_real_root(self):
         with pytest.raises(NoConvergence, match="no convergence after 50 iterations") as info:
@@ -127,6 +139,10 @@ class TestNewton:
         # the iterate it stopped at, whose residual the message reports
         (x,) = info.value.iterate
         assert info.value.residual == abs(x * x + 1.0)
+        # its message names the residual, not the iterate
+        assert str(info.value) == (
+            f"no convergence after 50 iterations (residual inf-norm {abs(x * x + 1.0):.3e})"
+        )
 
     def test_kepler_stormer_verlet_stacks(self, monkeypatch):
         # one stock Kepler Stormer-Verlet step: a solve with k updates calls the
