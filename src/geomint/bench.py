@@ -243,11 +243,9 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
         elif name == "stormer_verlet":
             ptab = ode.stormer_verlet_tableau()
             pair = lambda q, p: ode.prk_step(ptab, f1, f2, q, p, dt)
-        elif name == "theta_family":
+        else:  # theta_family; ScenarioConfig has rejected every other name
             theta = config.theta
             pair = lambda q, p: gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
-        else:
-            raise IncompatiblePair(config.scenario, name)
 
         def advance(x):
             half = x.size // 2

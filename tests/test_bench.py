@@ -742,6 +742,12 @@ class TestCli:
         "scenario, integrator, dt, params, cause",
         [
             ("kepler", "implicit_euler", "50.0", (), "no convergence"),
+            # the stock run's known failure
+            (
+                "kepler", "implicit_euler", "0.01", (),
+                "error: integrator failed at step 133: no convergence after 50 iterations "
+                "(residual inf-norm 1.486e+01)\n",
+            ),
             # a spin about a principal axis keeps Pi finite while the quaternion
             # stages overflow; the rate is named, not the Rotation check it trips
             (
@@ -820,7 +826,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "kepler_no_convergence", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
+            "kepler_no_convergence", "kepler_stock_implicit_euler", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
             "rkmk4_dexpinv_domain", "overflow_error", "math_domain_error",
             "rigidbody_exp_overflow_names_iterate", "rigidbody_exp_domain_names_iterate",
             "rigidbody_cayley_nan_names_first_iterate", "heavytop_exp_domain_names_iterate",
@@ -832,10 +838,11 @@ class TestCli:
         self, tmp_path, capsys, scenario, integrator, dt, params, cause
     ):
         out = tmp_path / "x.csv"
+        # every case fails by step 133, so no run reaches its last step
         code = cli.main(
             [
                 "run", "--scenario", scenario, "--integrator", integrator,
-                "--dt", dt, "--steps", "5", "--out", str(out),
+                "--dt", dt, "--steps", "200", "--out", str(out),
                 *(arg for value in params for arg in ("--param", value)),
             ]
         )

@@ -4,24 +4,11 @@ Reference values come from the closed-form harmonic-oscillator update
 matrices and from polynomial arithmetic (the degree-4 Taylor value for RK4).
 """
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
-from geomint import bench
-from geomint import integrators as gi
 from geomint import odecore as ode
-from geomint.errors import NoConvergence, SingularJacobian, SingularOrigin
-from geomint.mechanics import (
-    KeplerParams,
-    PendulumParams,
-    kepler_split_fields,
-    kepler_vectorfield,
-    pendulum_embedded_vf,
-)
+from geomint.errors import NoConvergence, SingularJacobian
 from geomint.odecore import (
     ButcherTableau,
     PartitionedTableau,
@@ -68,37 +55,9 @@ def _split_stepper(step):
     return inner
 
 
-def _newton_two_calls(residual, x0):
-    """The Newton loop before one call per iteration, kept as a bitwise oracle.
-
-    Each iteration calls the residual on x[None] for the convergence test and
-    on the 2n rows x + [hI; -hI] for the Jacobian.
-    """
-    x = np.array(x0, dtype=float)
-    n = x.size
-    h = ode.FD_STEP
-    shift = h * np.eye(n)
-    shifts = np.concatenate([shift, -shift])
-    r = np.asarray(residual(x[None]), dtype=float)[0]
-    for _ in range(ode.NEWTON_MAX_ITER):
-        if all(abs(v) <= ode.NEWTON_TOL for v in r.tolist()):
-            return x
-        vals = np.asarray(residual(x + shifts), dtype=float)
-        jac = ((vals[:n] - vals[n:]) / (2.0 * h)).T
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc), tuple(x.tolist())) from exc
-        if not all(map(math.isfinite, step.tolist())):
-            raise SingularJacobian("non-finite Newton step", tuple(x.tolist()))
-        x = x - step
-        r = np.asarray(residual(x[None]), dtype=float)[0]
-    if all(abs(v) <= ode.NEWTON_TOL for v in r.tolist()):
-        return x
-    raise NoConvergence(ode.NEWTON_MAX_ITER, float(np.max(np.abs(r))))
-
-
 class TestNewton:
+    """Newton's contract; its bitwise reference is TestFlatOracles in test_integrators.py."""
+
     def test_affine_one_iteration(self):
         calls = []
 
@@ -144,54 +103,6 @@ class TestNewton:
             f"no convergence after 50 iterations (residual inf-norm {abs(x * x + 1.0):.3e})"
         )
 
-    def test_kepler_stormer_verlet_stacks(self, monkeypatch):
-        # one stock Kepler Stormer-Verlet step: a solve with k updates calls the
-        # residual k + 1 times, each on the 2n + 1 rows x, x + [hI; -hI], where
-        # x runs through the iterates of the two-call loop bit for bit
-        calls, iterates = [], []
-        solve = ode.newton_solve
-
-        def recording(residual, x0):
-            def recorded(stack):
-                calls.append(np.array(stack))
-                return residual(stack)
-
-            def reference(stack):
-                if len(stack) == 1:
-                    iterates.append(np.array(stack[0]))
-                return residual(stack)
-
-            _newton_two_calls(reference, x0)
-            return solve(recorded, x0)
-
-        monkeypatch.setattr(ode, "newton_solve", recording)
-        config = bench.default_config("kepler", "stormer_verlet")
-        x0 = np.asarray(config.params["x0"], dtype=float)
-        f1, f2 = kepler_split_fields(KeplerParams(mu=config.params["mu"]))
-        prk_step(ode.stormer_verlet_tableau(), f1, f2, x0[:2], x0[2:], config.dt)
-
-        n = 8  # two stages of k and of l in the plane
-        shifts = np.concatenate([ode.FD_STEP * np.eye(n), -ode.FD_STEP * np.eye(n)])
-        updates = len(iterates) - 1
-        assert updates >= 1
-        assert [c.shape for c in calls] == [(2 * n + 1, n)] * (updates + 1)
-        for call, x in zip(calls, iterates):
-            assert call[0].tobytes() == x.tobytes()
-            assert call[1:].tobytes() == (x + shifts).tobytes()
-
-    def test_signed_zero_reaches_row_zero(self):
-        # x + (-0.0) keeps -0.0; a +0.0 offset row would hand the residual +0.0
-        rows = []
-
-        def residual(stack):
-            rows.append(np.array(stack[0]))
-            return stack * stack * stack + stack - np.array([0.0, 2.0])
-
-        x0 = np.array([-0.0, 1.0])
-        out = newton_solve(residual, x0)
-        assert np.signbit(rows[0][0]) and rows[0].tobytes() == x0.tobytes()
-        assert out.tobytes() == _newton_two_calls(residual, x0).tobytes()
-
     def test_nan_at_accepted_difference_points(self):
         # the difference points of the accepted iterate are evaluated and their
         # values discarded: nan there neither stops the solve nor is singular
@@ -203,113 +114,6 @@ class TestNewton:
 
         out = newton_solve(residual, np.array([0.0, 5.0]))
         assert np.max(np.abs(out - 2.0)) <= ode.NEWTON_TOL
-
-    def test_raise_at_accepted_difference_points(self):
-        # a root within FD_STEP of where the residual raises is still returned,
-        # as the two-call loop returns it; away from the root the error stands
-        def residual(stack):
-            if np.any(np.all(stack == 0.0, axis=-1)):
-                raise SingularOrigin("Kepler state at r = 0")
-            return stack - np.array([0.0, 1e-7])
-
-        x0 = np.array([0.0, 1e-7])
-        assert newton_solve(residual, x0).tobytes() == x0.tobytes()
-        assert _newton_two_calls(residual, x0).tobytes() == x0.tobytes()
-        with pytest.raises(SingularOrigin):
-            newton_solve(residual, np.array([1e-7, 0.0]))
-        # a Kepler implicit Euler step of length 0 next to the origin
-        f = kepler_vectorfield(KeplerParams(mu=1.0))
-        x = np.array([0.0, 1e-7, 0.0, 0.0])
-        assert ode.implicit_euler_step(f, x, 0.0).tobytes() == x.tobytes()
-
-
-def _solved_alike(step):
-    """Run step() with every Newton solve checked bitwise against the two-call loop.
-
-    A solve that fails must fail alike, with the same exception and message.
-    """
-    solve = ode.newton_solve
-    solves = []
-
-    def checked(residual, x0):
-        solves.append(x0)
-        try:
-            expected = _newton_two_calls(residual, x0)
-        except (NoConvergence, SingularJacobian) as exc:
-            with pytest.raises(type(exc)) as info:
-                solve(residual, x0)
-            assert str(info.value) == str(exc)
-            raise
-        root = solve(residual, x0)
-        assert root.tobytes() == expected.tobytes()
-        return root
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ode, "newton_solve", checked)
-        mp.setattr(gi, "newton_solve", checked)
-        try:
-            step()
-        except (NoConvergence, SingularJacobian):
-            pass
-    assert solves
-
-
-_coord = st.floats(-1.5, 1.5)
-_plane = st.tuples(_coord, _coord).map(np.array)
-_kepler_fields = kepler_split_fields(KeplerParams(mu=1.0))
-# the stock Kepler state, then with signed zeros that reach row 0 of the first call
-_KEPLER_STOCK = (np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.01)
-_KEPLER_NEG_ZERO = (np.array([1.0, -0.0]), np.array([-0.0, 0.5]), 0.01)
-
-
-class TestNewtonOracle:
-    """newton_solve returns the two-call loop's root, bit for bit, on the stock flat residuals."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(_plane, _plane, st.floats(1e-3, 0.1))
-    @example(*_KEPLER_STOCK)
-    @example(*_KEPLER_NEG_ZERO)
-    def test_kepler_stormer_verlet(self, q, p, dt):
-        assume(np.hypot(*q) >= 0.3)
-        ptab = ode.stormer_verlet_tableau()
-        _solved_alike(lambda: prk_step(ptab, *_kepler_fields, q, p, dt))
-
-    @settings(max_examples=100, deadline=None)
-    @given(_plane, _plane, st.floats(1e-3, 0.1), st.floats(0.05, 0.95))
-    @example(*_KEPLER_STOCK, 0.5)
-    @example(*_KEPLER_NEG_ZERO, 0.5)
-    def test_kepler_theta_family(self, q, p, dt, theta):
-        assume(np.hypot(*q) >= 0.3)
-        _solved_alike(lambda: gi.cotangent_theta_step(*_kepler_fields, q, p, dt, theta))
-
-    @settings(max_examples=100, deadline=None)
-    @given(_plane, _plane, st.floats(1e-3, 0.1))
-    @example(*_KEPLER_STOCK)
-    @example(*_KEPLER_NEG_ZERO)
-    def test_kepler_symplectic_euler_b(self, q, p, dt):
-        assume(np.hypot(*q) >= 0.3)
-        _solved_alike(lambda: symplectic_euler_b_step(*_kepler_fields, q, p, dt))
-
-    def test_kepler_implicit_euler_fails_alike(self):
-        # the stock run's known failure: steps 1..132 converge, step 133 raises
-        # NoConvergence with the two-call loop's message, residual norm included
-        f = kepler_vectorfield(KeplerParams(mu=1.0))
-        states = [np.array([1.0, 0.0, 0.0, 0.5])]
-
-        def run():
-            while True:
-                states.append(implicit_euler_step(f, states[-1], 0.01))
-
-        _solved_alike(run)
-        assert len(states) == 133
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.tuples(_coord, _coord, _coord).map(np.array), st.floats(1e-3, 0.2))
-    @example(np.array([math.cos(1.0), math.sin(1.0), 0.0]), 0.1)
-    @example(np.array([1.0, -0.0, -0.0]), 0.1)
-    def test_pendulum_embedded_implicit_euler(self, x, dt):
-        f = pendulum_embedded_vf(PendulumParams())
-        _solved_alike(lambda: implicit_euler_step(f, x, dt))
 
 
 class TestEulerSteps:
@@ -475,34 +279,11 @@ class TestPartitionedRungeKutta:
 
 
 class TestCheckers:
-    def test_explicit_euler_orders(self):
-        tab = ode.explicit_euler_tableau()
-        assert check_order_conditions(tab, 1)
-        assert not check_order_conditions(tab, 2)
-
-    def test_rk4_orders(self):
-        tab = ode.rk4_tableau()
-        for order in (1, 2, 3):
-            assert check_order_conditions(tab, order)
-
-    def test_weight_sum_failure(self):
-        tab = ButcherTableau(a=[[0.0, 0.0], [0.5, 0.0]], b=[0.4, 0.4])
-        assert not check_order_conditions(tab, 1)
+    """The checkers' accept/reject cases run in selfcheck, under criterion 7."""
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
             check_order_conditions(ode.rk4_tableau(), 4)
-
-    def test_symplectic_euler_tableau_accepted(self):
-        assert check_symplectic_prk(ode.symplectic_euler_tableau())
-
-    def test_stormer_verlet_accepted(self):
-        assert check_symplectic_prk(ode.stormer_verlet_tableau())
-
-    def test_double_midpoint_rejected(self):
-        mp = ode.rk2_midpoint_tableau()
-        both = PartitionedTableau(a=mp.a, b=mp.b, a_hat=mp.a, b_hat=mp.b)
-        assert not check_symplectic_prk(both)
 
 
 class TestClosedFormMatrices:
