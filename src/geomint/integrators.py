@@ -557,8 +557,9 @@ def _solve_heavytop_omega(
     """Fixed-point iteration with a finite-difference Newton fallback.
 
     Returns (Omega, d, Pi', Gamma') from the evaluation at the converged Omega.
-    A failure names the |dt*Omega| of the iterate it stopped at: the fixed-point
-    one, or for a failed fallback the Newton one.
+    A failure names the |dt*Omega| of the iterate it stopped at (the fixed-point
+    one, or for a failed fallback the Newton one), then the gravity impulse
+    |dt*m*g*chi|, which no iterate shows.
     """
     inertia = params.inertia
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = params.inertia_inv
@@ -590,6 +591,7 @@ def _solve_heavytop_omega(
         _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
     except (GeomintError, ArithmeticError, ValueError) as exc:
         _name_iterate(exc, dt, getattr(exc, "iterate", None) or omega, params, pi)
+        exc.args = (f"{exc.args[0]}; gravity impulse |dt*m*g*chi| = {math.hypot(*z):.6g}",)
         raise
     return omega, d, pi_new, gamma_new
 

@@ -43,7 +43,7 @@ def _fd_dlog(tau_matrix, y, eta, h=1e-5):
 
 def _check_dual_pairings() -> bool:
     rng = random.Random(1234)
-    for _ in range(30):
+    for _ in range(40):
         y = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
         mu = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
         eta = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
