@@ -587,7 +587,7 @@ def _solve_heavytop_omega(
             ])
 
         sol = newton_solve(residual, np.array(omega))
-        omega = (sol[0], sol[1], sol[2])
+        omega = (float(sol[0]), float(sol[1]), float(sol[2]))
         _, d, pi_new, gamma_new = _heavytop_eval(inertia, pi, gamma, omega, dt, z, ret)
     except (GeomintError, ArithmeticError, ValueError) as exc:
         _name_iterate(exc, dt, getattr(exc, "iterate", None) or omega, params, pi)

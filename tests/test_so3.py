@@ -1,13 +1,15 @@
 """Rotation-group primitive tests: closed forms against independent oracles.
 
 The oracles here are deliberately dumb: truncated matrix power series for the
-exponential, central finite differences for logarithmic derivatives, and a
-truncated 4x4 series for the SE(3) translation block.
+exponential, central finite differences for logarithmic derivatives, a
+truncated 4x4 series for the SE(3) translation block, and exact rational
+arithmetic for the orthogonality defect.
 """
 
 import math
 import random
-import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,24 +361,6 @@ class TestRotationType:
                 Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, bad, 1.0)))
 
 
-def _orthogonality_defect_reference(m):
-    """Loop form of ||m^T m - I||_F, in the kernel's accumulation order."""
-    total = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            g = (
-                m[0][i] * m[0][j]
-                + m[1][i] * m[1][j]
-                + m[2][i] * m[2][j]
-            )
-            if i == j:
-                g -= 1.0
-                total += g * g
-            else:
-                total += 2.0 * g * g
-    return math.sqrt(total)
-
-
 _entries = st.one_of(
     st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True)
 )
@@ -393,13 +377,40 @@ def _near_rotations(draw):
     )
 
 
-class TestOrthogonalityDefectOracle:
+_EPS = sys.float_info.epsilon
+
+
+def _exact_defect_squared(m):
+    """||m^T m - I||_F^2 in exact rational arithmetic."""
+    f = [[Fraction(x) for x in row] for row in m]
+    total = Fraction(0)
+    for i in range(3):
+        for j in range(3):
+            g = f[0][i] * f[0][j] + f[1][i] * f[1][j] + f[2][i] * f[2][j] - (i == j)
+            total += g * g
+    return total
+
+
+class TestOrthogonalityDefect:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.tuples(_rows, _rows, _rows), _near_rotations()))
-    def test_matches_loop_form_bitwise(self, m):
+    def test_matches_exact_frobenius_norm(self, m):
         new = so3.orthogonality_defect_mat(m)
-        ref = _orthogonality_defect_reference(m)
-        if math.isnan(ref):
-            assert math.isnan(new)
-        else:
-            assert struct.pack("<d", new) == struct.pack("<d", ref)
+        if not all(math.isfinite(x) for row in m for x in row):
+            assert not math.isfinite(new)
+            return
+        exact = _exact_defect_squared(m)
+        if not math.isfinite(new):
+            # only a true defect whose square leaves the float range overflows
+            assert exact > 1e308
+            return
+        # each Gram entry rounds to within a few eps of the sum of its terms'
+        # magnitudes, |m|^T |m| + I; the squares, the sum and the root add a few
+        # eps of the defect itself
+        terms = math.hypot(*(
+            abs(m[0][i] * m[0][j]) + abs(m[1][i] * m[1][j]) + abs(m[2][i] * m[2][j]) + (i == j)
+            for i in range(3)
+            for j in range(3)
+        ))
+        defect = math.sqrt(exact)
+        assert abs(new - defect) <= 4.0 * _EPS * (terms + defect)
