@@ -15,10 +15,13 @@ recovers the doubles exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import os
+import struct
 import time
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import integrators as gi
 from . import mechanics as mech
@@ -520,9 +523,19 @@ def iter_scenario(config: ScenarioConfig) -> Iterator[TrajectoryRecord]:
         yield TrajectoryRecord(k, k * dt, values, cols)
 
 
-def run_scenario(config: ScenarioConfig) -> list[TrajectoryRecord]:
-    """Run a scenario to completion and return all records."""
-    return list(iter_scenario(config))
+def run_scenario(
+    config: ScenarioConfig, out: str | None = None
+) -> list[TrajectoryRecord] | int:
+    """Run a scenario to completion.
+
+    With ``out`` None, return the list of all records.  Given a path ``out``,
+    stream the records into a CSV there as ``write_csv`` writes it, keep none
+    of them, and return how many were written; a run that fails leaves no
+    file behind and any file already at ``out`` as it was.
+    """
+    if out is None:
+        return list(iter_scenario(config))
+    return _stream_csv(iter_scenario(config), out)
 
 
 def scenario_columns(scenario: str) -> tuple[str, ...]:
@@ -534,15 +547,97 @@ def scenario_columns(scenario: str) -> tuple[str, ...]:
 # --- CSV ----------------------------------------------------------------------------
 
 def write_csv(records: Sequence[TrajectoryRecord], path: str) -> None:
-    """Write records with a header row; 17 significant digits per number."""
-    if not records:
-        raise ValueError("no records to write")
-    cols = records[0].columns
-    row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            fh.write(row % ((rec.step, rec.t) + tuple(rec.values)))
+    """Write records with a header row; 17 significant digits per number.
+
+    The file appears at ``path`` only once it is complete (see
+    ``_stream_csv``); raises ValueError for no records.
+    """
+    _stream_csv(records, path)
+
+
+# the pipe's buffer on Linux; the stepping process sends records in batches of it
+_PIPE_BYTES = 65536
+
+
+def _stream_csv(records: Iterable[TrajectoryRecord], path: str) -> int:
+    """Write records to a CSV at ``path`` as they arrive; return their count.
+
+    A forked writer formats the rows while this process makes the next
+    records, which it packs as binary rows into a pipe.  The writer writes a
+    temporary file beside ``path``, created before the first record is asked
+    for, with the umask applied as for ``open``; the file replaces ``path``
+    once the writer has closed it.  If the records raise or the writer fails,
+    the temporary file is removed, a file already at ``path`` stays as it
+    was, and the error raises here: a failed writer as an OSError naming
+    ``path``.  The writer is reaped either way.
+    """
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    pid = count = 0
+    try:
+        records = iter(records)
+        first = next(records, None)
+        if first is None:
+            raise ValueError("no records to write")
+        # a row packed: the step, then t and the values as doubles
+        packed = struct.Struct("<q" + "d" * (len(first.columns) - 1))
+        rows_r, rows_w = os.pipe()
+        broken = False
+        try:
+            with open(rows_w, "wb", _PIPE_BYTES) as pipe:
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _write_rows(fd, rows_r, rows_w, first.columns, packed)
+                finally:
+                    os.close(rows_r)
+                write, pack = pipe.write, packed.pack
+                for count, rec in enumerate(itertools.chain((first,), records), 1):
+                    write(pack(rec.step, rec.t, *rec.values))
+        except BrokenPipeError:
+            broken = True  # the writer left before the last row
+        status, pid = os.waitpid(pid, 0)[1], 0
+        if status or broken:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise OSError(f"the CSV writer for {path} {how}; no CSV was written")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        if pid:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(fd)
+    return count
+
+
+def _write_rows(
+    fd: int, rows_r: int, rows_w: int, cols: tuple[str, ...], packed: struct.Struct
+) -> None:
+    """The writer process of ``_stream_csv``: the header, then each row
+    ``packed`` read from the pipe ``rows_r``, formatted into the file ``fd``.
+
+    It never returns: it leaves through ``os._exit``, with status 0 only once
+    the file is closed.
+    """
+    status = 1
+    try:
+        os.close(rows_w)
+        row = "%d" + ",%.17g" * (len(cols) - 1) + "\n"
+        batch = _PIPE_BYTES // packed.size * packed.size
+        with open(rows_r, "rb") as rows, open(fd, "wb") as out:
+            out.write((",".join(cols) + "\n").encode())
+            while chunk := rows.read(batch):
+                out.write("".join([row % values for values in packed.iter_unpack(chunk)]).encode())
+        status = 0
+    except Exception as exc:
+        os.write(2, f"error: CSV writer: {exc}\n".encode())
+    finally:
+        os._exit(status)
 
 
 def read_csv(path: str) -> list[TrajectoryRecord]:
@@ -650,8 +745,6 @@ def _rows_in_workers(fn, items: Sequence) -> list[list[str]]:
     without a row, whose worker raised or died, run again here in order, so a
     failure raises as in a serial loop: runs are deterministic.
     """
-    import os
-
     jobs_r, jobs_w = os.pipe()
     os.write(jobs_w, b"".join(i.to_bytes(4, "little") for i in range(len(items))))
     os.close(jobs_w)

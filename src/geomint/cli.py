@@ -51,9 +51,8 @@ def _cmd_run(args) -> int:
         if value is not None:
             overrides[key] = value
     config = bench.parse_config(args.config, overrides)
-    records = bench.run_scenario(config)
-    bench.write_csv(records, args.out)
-    print(f"wrote {len(records)} records to {args.out}")
+    count = bench.run_scenario(config, args.out)
+    print(f"wrote {count} records to {args.out}")
     return 0
 
 

@@ -1,11 +1,14 @@
 """Harness tests: config parsing, runners, CSV schema and round trip, CLI."""
 
 import filecmp
+import hashlib
 import json
 import math
 import os
 import re
+import resource
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -354,6 +357,20 @@ class TestRunScenario:
         write_csv(run_scenario(cfg), str(a))
         write_csv(run_scenario(cfg), str(b))
         assert filecmp.cmp(str(a), str(b), shallow=False)
+
+    def test_streamed_run_memory_does_not_grow_with_steps(self, tmp_path):
+        # given a path, a run streams its records to the writer and keeps none
+        def peak(steps):
+            config = default_config("rigidbody", "lp_exp", steps=steps)
+            tracemalloc.start()
+            try:
+                assert run_scenario(config, str(tmp_path / "x.csv")) == steps
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations out of the way
+        assert peak(1000) - peak(100) < 16 * 1024
 
     def test_quadrotor_hover_columns(self):
         cfg = default_config("quadrotor_hover", "lp_exp", steps=10)
@@ -846,7 +863,120 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "integrator failed at step" in err and cause in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    # 4000 steps: the forked writer has formatted thousands of rows when a
+    # test makes the run fail at step 2000 or 3000
+    _LONG_RUN = ["run", "--scenario", "rigidbody", "--integrator", "lp_exp", "--steps", "4000"]
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["failure", "interrupt"])
+    def test_failed_run_leaves_no_file_and_keeps_an_old_one(
+        self, tmp_path, capsys, monkeypatch, interrupt
+    ):
+        out = tmp_path / "x.csv"
+        iterate, partial = bench.iter_scenario, []
+
+        def fails_at_3000(config):
+            for rec in iterate(config):
+                if rec.step == 3000:
+                    # the temporary file beside --out already holds rows
+                    partial.extend(p.stat().st_size for p in tmp_path.glob("x.csv.*.tmp"))
+                    raise KeyboardInterrupt if interrupt else IntegratorFailure(
+                        3000, ValueError("injected")
+                    )
+                yield rec
+
+        monkeypatch.setattr(bench, "iter_scenario", fails_at_3000)
+        for old in (None, b"an earlier run\n"):
+            if old is not None:
+                out.write_bytes(old)
+            if interrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    cli.main([*self._LONG_RUN, "--out", str(out)])
+            else:
+                assert cli.main([*self._LONG_RUN, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == "error: integrator failed at step 3000: ValueError: injected\n"
+            _assert_no_child_left()
+            assert len(partial) == 1 and partial.pop() > 0
+            if old is None:
+                assert list(tmp_path.iterdir()) == []
+            else:
+                assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == old
+
+    def test_out_in_a_missing_directory_exits_before_the_first_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        iterate, started = bench.iter_scenario, []
+
+        def records(config):
+            started.append(config)
+            yield from iterate(config)
+
+        monkeypatch.setattr(bench, "iter_scenario", records)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main([*self._LONG_RUN, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert started == [] and list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("death", ["killed", "file_too_large", "quits"])
+    def test_writer_failure_exits_1_and_leaves_no_file(self, tmp_path, capfd, monkeypatch, death):
+        # the writer is killed at step 2000, or leaves at once with status 0,
+        # or may write only 100 bytes, so that its own write fails once it has
+        # read every row of a 3-step run; in each case no CSV and no temporary
+        # file remain
+        fork, iterate, writers = os.fork, bench.iter_scenario, []
+
+        def fork_writer():
+            pid = fork()
+            if pid == 0 and death == "file_too_large":
+                signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+                resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+            writers.append(pid)
+            return pid
+
+        def records(config):
+            for rec in iterate(config):
+                if rec.step == 2000 and death == "killed":
+                    os.kill(writers[0], signal.SIGKILL)
+                yield rec
+
+        monkeypatch.setattr(os, "fork", fork_writer)
+        monkeypatch.setattr(bench, "iter_scenario", records)
+        if death == "quits":
+            monkeypatch.setattr(bench, "_write_rows", lambda *args: os._exit(0))
+        out = tmp_path / "x.csv"
+        steps = "3" if death == "file_too_large" else "4000"
+        assert cli.main([*self._LONG_RUN[:-1], steps, "--out", str(out)]) == 1
+        expected = {
+            "killed": f"error: the CSV writer for {out} was killed by signal 9; no CSV was written\n",
+            "file_too_large": (
+                "error: CSV writer: [Errno 27] File too large\n"
+                f"error: the CSV writer for {out} exited with status 1; no CSV was written\n"
+            ),
+            "quits": f"error: the CSV writer for {out} exited with status 0; no CSV was written\n",
+        }[death]
+        assert capfd.readouterr().err == expected
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    def test_csv_mode_follows_the_umask(self, tmp_path):
+        # the CSV replaces a file already at --out, whose mode it does not keep
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"")
+        out.chmod(0o600)
+        for umask in (0o022, 0o027):
+            old = os.umask(umask)
+            try:
+                assert cli.main([*self._LONG_RUN[:-1], "3", "--out", str(out)]) == 0
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert list(tmp_path.iterdir()) == [out]
+        _assert_no_child_left()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1112,6 +1242,11 @@ class TestCli:
             else:
                 bench.run_scenario(bench.default_config("kepler", "stormer_verlet", steps=3))
             assert "numpy" in sys.modules
+            # the run's forked CSV writer stops OpenBLAS's workers (its fork
+            # handler); a product large enough to use them starts them again
+            import numpy as np
+
+            np.ones((512, 512)) @ np.ones((512, 512))
             changed = {
                 key: os.environ.get(key)
                 for key in set(before) | set(os.environ)
@@ -1167,6 +1302,29 @@ class TestConformance:
         assert report["missing_from_reference"] == []
         # the two known defects, and no other
         assert report["failing"] == ["kepler.implicit_euler", "pendulum_embedded.explicit_euler"]
+
+
+    def test_cli_run_writes_the_pinned_bytes(self, tmp_path, capsys):
+        # the same pins, through `geomint run` and its forked writer
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "conformance_seed0.json"), encoding="utf-8") as fh:
+            pins = json.load(fh)
+        assert set(pins) == {f"{s}.{i}" for s in bench.SCENARIOS for i in bench.COMPAT[s]}
+        for pair, digest in pins.items():
+            scenario, integrator = pair.split(".")
+            out = tmp_path / f"{pair}.csv"
+            argv = ["run", "--scenario", scenario, "--integrator", integrator,
+                    "--steps", "250", "--out", str(out)]
+            with np.errstate(over="ignore"):
+                code = cli.main(argv)
+            if digest is None:
+                assert pair == "kepler.implicit_euler" and code == 2
+                assert "integrator failed at step 133: " in capsys.readouterr().err
+                assert not out.exists()
+            else:
+                assert code == 0, pair
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, pair
+        _assert_no_child_left()
 
 
 class TestTracerContract:

@@ -245,6 +245,21 @@ class TestLiePoissonLeft:
                 assert w == 0.0 and math.copysign(1.0, w) == 1.0
 
 
+    def test_coupled_body_keeps_negative_zero_rates(self):
+        # a -0.0 in Pi stays -0.0 in Omega here; with the products by 0.0 and
+        # 1.0 dropped from the kernel it reads +0.0
+        params = RigidBodyParams(
+            (
+                (4.151416488097965, -0.6299398873089607, 0.0),
+                (-0.6299398873089607, 1.2138657219763296, 0.0),
+                (0.0, 0.0, 3.6610261159378985),
+            )
+        )
+        omega = _solve_body_omega(params, (-0.0, -0.0, -1.4295980544264695), 0.01, CAY)
+        assert omega == (0.0, 0.0, -0.3904895948488257)
+        assert [math.copysign(1.0, w) for w in omega] == [-1.0, -1.0, -1.0]
+
+
 class TestLiePoissonRight:
     def test_spatial_momentum_bitwise_constant(self):
         ret = exp_retraction()
