@@ -15,6 +15,7 @@ recovers the doubles exactly.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import math
 import numbers
@@ -571,6 +572,9 @@ def _stream_csv(records: Iterable[TrajectoryRecord], path: str) -> int:
     was, and the error raises here: a failed writer as an OSError naming
     ``path``.  The writer is reaped either way.
     """
+    if os.path.isdir(path):
+        # os.replace would refuse it only after the last record
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

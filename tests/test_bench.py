@@ -1,6 +1,7 @@
 """Harness tests: config parsing, runners, CSV schema and round trip, CLI."""
 
 import filecmp
+import gc
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -48,11 +50,14 @@ RIGIDBODY_HEADER = (
 
 
 @pytest.fixture(autouse=True)
-def _environ_restored():
-    # cli.main sets OMP_NUM_THREADS in the process it runs in, and the in-process
-    # CLI tests share this one; each test leaves os.environ as it found it
+def _process_policy_undone():
+    # cli.main sets OMP_NUM_THREADS in the process it runs in and freezes the
+    # collector's objects when its command ends, and the in-process CLI tests
+    # share this process; each test leaves os.environ as it found it, and the
+    # rest of the suite runs on an ordinary heap
     with mock.patch.dict(os.environ):
         yield
+    gc.unfreeze()
 
 
 class TestConfig:
@@ -904,9 +909,13 @@ class TestCli:
             else:
                 assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == old
 
-    def test_out_in_a_missing_directory_exits_before_the_first_step(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_that_cannot_be_written_exits_before_the_first_step(
+        self, tmp_path, capsys, monkeypatch, command, where
     ):
+        # --out in a missing directory, or naming a directory, fails as the
+        # write after the last step would, but before any step or fork
         iterate, started = bench.iter_scenario, []
 
         def records(config):
@@ -914,12 +923,22 @@ class TestCli:
             yield from iterate(config)
 
         monkeypatch.setattr(bench, "iter_scenario", records)
-        out = tmp_path / "missing" / "x.csv"
-        assert cli.main([*self._LONG_RUN, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
-        )
-        assert started == [] and list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"{command} forked"))
+        if where == "directory":
+            out, message = tmp_path / "x.csv", "[Errno 21] Is a directory"
+            out.mkdir()
+        else:
+            out, message = tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"
+        argv = self._LONG_RUN if command == "run" else [
+            "compare", "--scenario", "rigidbody", "--integrators", "lp_exp,lp_cayley",
+            "--steps", "4000",
+        ]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}: {str(out)!r}\n")
+        assert started == []
+        # no output file and no temporary file, beside --out or in it
+        assert list(tmp_path.iterdir()) == ([out] if where == "directory" else [])
+        assert where == "missing_directory" or list(out.iterdir()) == []
         _assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["killed", "file_too_large", "quits"])
@@ -977,6 +996,44 @@ class TestCli:
             assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
         assert list(tmp_path.iterdir()) == [out]
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--integrator", "rk4"], 0),
+            # a config error raised inside the command
+            (["--integrator", "rk4", "--dt", "-0.01"], 1),
+            (["--integrator", "implicit_euler", "--dt", "50.0"], 2),
+        ],
+        ids=["exit_0", "exit_1", "exit_2"],
+    )
+    def test_command_freezes_the_heap_and_leaves_the_collector_working(
+        self, tmp_path, args, code, enabled
+    ):
+        # on each exit path main freezes what the command made, so that the
+        # interpreter's shutdown does not walk it, and changes nothing else
+        class Node:
+            pass
+
+        argv = ["run", "--scenario", "kepler", *args, "--steps", "200",
+                "--out", str(tmp_path / "x.csv")]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert cli.main(argv) == code
+            assert gc.get_freeze_count() > frozen
+            assert gc.isenabled() is enabled
+            # a cycle made after the command is still collected
+            node = Node()
+            node.self = node
+            ref = weakref.ref(node)
+            del node
+            gc.collect()
+            assert ref() is None
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     @pytest.mark.parametrize(
         "args, message",
