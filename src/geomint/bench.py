@@ -15,11 +15,13 @@ recovers the doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import itertools
 import math
 import numbers
 import os
+import stat
 import struct
 import time
 from typing import Iterable, Iterator, Sequence
@@ -222,22 +224,21 @@ def parse_config(
 # --- runners -------------------------------------------------------------------------
 
 def _flat_stepper(config: ScenarioConfig, f, f1, f2):
-    """One-step closure x -> x' for the flat integrators.
+    """One-step closure x -> x' for the flat integrators, on lists of floats.
 
-    No constructor checks a flat state, so the step raises ValueError, naming
-    the state, when x' has an entry that is not finite.
+    The kernels take the list and return arrays, which the step turns back
+    into a list.  No constructor checks a flat state, so the step raises
+    ValueError, naming the state, when x' has an entry that is not finite.
     """
-    import numpy as np
-
     name = config.integrator
     dt = config.dt
     if name == "explicit_euler":
-        advance = lambda x: ode.explicit_euler_step(f, x, dt)
+        advance = lambda x: ode.explicit_euler_step(f, x, dt).tolist()
     elif name == "implicit_euler":
-        advance = lambda x: ode.implicit_euler_step(f, x, dt)
+        advance = lambda x: ode.implicit_euler_step(f, x, dt).tolist()
     elif name in ("rk2", "rk4"):
         tab = ode.rk2_midpoint_tableau() if name == "rk2" else ode.rk4_tableau()
-        advance = lambda x: ode.rk_step(tab, f, x, dt)
+        advance = lambda x: ode.rk_step(tab, f, x, dt).tolist()
     else:
         # split-variable schemes: state is the concatenation (q, p)
         if name == "sympl_euler_a":
@@ -252,14 +253,14 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
             pair = lambda q, p: gi.cotangent_theta_step(f1, f2, q, p, dt, theta)
 
         def advance(x):
-            half = x.size // 2
+            half = len(x) // 2
             qn, pn = pair(x[:half], x[half:])
-            return np.concatenate([qn, pn])
+            return qn.tolist() + pn.tolist()
 
     def step(x):
         x = advance(x)
-        if not all(map(math.isfinite, x.tolist())):
-            raise ValueError(f"state {x.tolist()} has non-finite entries")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"state {x} has non-finite entries")
         return x
 
     return step
@@ -269,21 +270,16 @@ def _flat_stepper(config: ScenarioConfig, f, f1, f2):
 # and row maps a state to the record's value columns.
 
 def _setup_harmonic(config: ScenarioConfig):
-    import numpy as np
-
     p = config.params
     hp = mech.HarmonicOscillatorParams(k=p["k"], m=p["m"])
     f = mech.ho_vectorfield(hp)
     f1, f2 = mech.ho_split_fields(hp)
     energy = mech.ho_energy(hp)
     step = _flat_stepper(config, f, f1, f2)
-    x = np.array([p["q0"], p["v0"]], dtype=float)
-    return x, step, lambda x: (x[0], x[1], energy(x[0], x[1]))
+    return [p["q0"], p["v0"]], step, lambda x: (x[0], x[1], energy(x[0], x[1]))
 
 
 def _setup_kepler(config: ScenarioConfig):
-    import numpy as np
-
     p = config.params
     kp = mech.KeplerParams(mu=p["mu"])
     f = mech.kepler_vectorfield(kp)
@@ -291,13 +287,10 @@ def _setup_kepler(config: ScenarioConfig):
     energy = mech.kepler_energy(kp)
     angmom = mech.kepler_angmom(kp)
     step = _flat_stepper(config, f, f1, f2)
-    x = np.asarray(p["x0"], dtype=float)
-    return x, step, lambda x: (x[0], x[1], x[2], x[3], energy(x), angmom(x))
+    return list(p["x0"]), step, lambda x: (x[0], x[1], x[2], x[3], energy(x), angmom(x))
 
 
 def _setup_pendulum(config: ScenarioConfig):
-    import numpy as np
-
     p = config.params
     pp = mech.PendulumParams(ml2=p["ml2"], mgl=p["mgl"])
     f = mech.pendulum_embedded_vf(pp)
@@ -305,13 +298,13 @@ def _setup_pendulum(config: ScenarioConfig):
     step = _flat_stepper(config, f, None, None)
     if p["project"]:
         free = step
-        step = lambda x: np.array(mech.project_to_cylinder(*free(x)))
+        step = lambda x: mech.project_to_cylinder(*free(x))
 
     def row(x):
         return (x[0], x[1], x[2], energy(x), mech.cylinder_defect(x[0], x[1]))
 
     theta0 = p["theta0"]
-    return np.array([math.cos(theta0), math.sin(theta0), p["p0"]]), step, row
+    return [math.cos(theta0), math.sin(theta0), p["p0"]], step, row
 
 
 def _inertia_from(p: dict):
@@ -560,62 +553,80 @@ def write_csv(records: Sequence[TrajectoryRecord], path: str) -> None:
 _PIPE_BYTES = 65536
 
 
-def _stream_csv(records: Iterable[TrajectoryRecord], path: str) -> int:
-    """Write records to a CSV at ``path`` as they arrive; return their count.
+@contextlib.contextmanager
+def _claimed(path: str) -> Iterator[int]:
+    """Yield the descriptor of a new file beside ``path``, created as ``open``
+    creates one, which replaces ``path`` when the block ends without error.
 
-    A forked writer formats the rows while this process makes the next
-    records, which it packs as binary rows into a pipe.  The writer writes a
-    temporary file beside ``path``, created before the first record is asked
-    for, with the umask applied as for ``open``; the file replaces ``path``
-    once the writer has closed it.  If the records raise or the writer fails,
-    the temporary file is removed, a file already at ``path`` stays as it
-    was, and the error raises here: a failed writer as an OSError naming
-    ``path``.  The writer is reaped either way.
+    A missing directory, a directory at ``path`` or a name too long raises an
+    OSError naming ``path`` before the block; the temporary name's length does
+    not depend on ``path``.  If the block raises, the temporary file is
+    removed and a file already at ``path`` stays as it was.
     """
-    if os.path.isdir(path):
-        # os.replace would refuse it only after the last record
+    try:
+        mode = os.stat(path).st_mode  # any other error names path already
+    except FileNotFoundError:
+        mode = 0  # a missing directory fails the open below
+    if stat.S_ISDIR(mode):
+        # os.replace would refuse it only after the block
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f"geomint-{os.urandom(6).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
-    pid = count = 0
     try:
-        records = iter(records)
-        first = next(records, None)
-        if first is None:
-            raise ValueError("no records to write")
-        # a row packed: the step, then t and the values as doubles
-        packed = struct.Struct("<q" + "d" * (len(first.columns) - 1))
-        rows_r, rows_w = os.pipe()
-        broken = False
-        try:
-            with open(rows_w, "wb", _PIPE_BYTES) as pipe:
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _write_rows(fd, rows_r, rows_w, first.columns, packed)
-                finally:
-                    os.close(rows_r)
-                write, pack = pipe.write, packed.pack
-                for count, rec in enumerate(itertools.chain((first,), records), 1):
-                    write(pack(rec.step, rec.t, *rec.values))
-        except BrokenPipeError:
-            broken = True  # the writer left before the last row
-        status, pid = os.waitpid(pid, 0)[1], 0
-        if status or broken:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise OSError(f"the CSV writer for {path} {how}; no CSV was written")
+        yield fd
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
-        if pid:
-            os.waitpid(pid, 0)
         raise
     finally:
         os.close(fd)
+
+
+def _stream_csv(records: Iterable[TrajectoryRecord], path: str) -> int:
+    """Write records to a CSV at ``path`` as they arrive; return their count.
+
+    A forked writer formats the rows into the file of ``_claimed(path)``
+    while this process makes the next records, which it packs as binary rows
+    into a pipe.  If the records raise or the writer fails, the error raises
+    here, a failed writer as an OSError naming ``path``, and no file is
+    written.  The writer is reaped either way.
+    """
+    with _claimed(path) as fd:
+        pid = count = 0
+        try:
+            records = iter(records)
+            first = next(records, None)
+            if first is None:
+                raise ValueError("no records to write")
+            # a row packed: the step, then t and the values as doubles
+            packed = struct.Struct("<q" + "d" * (len(first.columns) - 1))
+            rows_r, rows_w = os.pipe()
+            broken = False
+            try:
+                with open(rows_w, "wb", _PIPE_BYTES) as pipe:
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _write_rows(fd, rows_r, rows_w, first.columns, packed)
+                    finally:
+                        os.close(rows_r)
+                    write, pack = pipe.write, packed.pack
+                    for count, rec in enumerate(itertools.chain((first,), records), 1):
+                        write(pack(rec.step, rec.t, *rec.values))
+            except BrokenPipeError:
+                broken = True  # the writer left before the last row
+            status, pid = os.waitpid(pid, 0)[1], 0
+            if status or broken:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise OSError(f"the CSV writer for {path} {how}; no CSV was written")
+        except BaseException:
+            if pid:
+                os.waitpid(pid, 0)
+            raise
     return count
 
 
@@ -690,22 +701,20 @@ def summarize_drift(records: Sequence[TrajectoryRecord], column: str) -> DriftSu
     # step and t live outside rec.values; indexing them would read a value column
     if column not in cols[2:]:
         raise UnknownColumn(column)
-    import numpy as np
-
     idx = cols.index(column) - 2
-    times = np.fromiter((rec.t for rec in records), dtype=float, count=len(records))
-    values = np.fromiter(
-        (rec.values[idx] for rec in records), dtype=float, count=len(records)
-    )
-    t_centered = times - times.mean()
-    denom = float(t_centered @ t_centered)
-    slope = float(t_centered @ (values - values.mean()) / denom) if denom > 0 else 0.0
-    return DriftSummary(
-        initial=float(values[0]),
-        final=float(values[-1]),
-        max_abs_dev=float(np.max(np.abs(values - values[0]))),
-        linear_slope=slope,
-    )
+    times = [rec.t for rec in records]
+    values = [rec.values[idx] for rec in records]
+    # the two-pass centred fit; plain sum, since math.fsum raises on +inf with -inf
+    t_mean, v_mean = sum(times) / len(times), sum(values) / len(values)
+    t_centered = [t - t_mean for t in times]
+    denom = sum(d * d for d in t_centered)
+    fit = sum(d * (v - v_mean) for d, v in zip(t_centered, values))
+    first, worst = values[0], 0.0
+    for v in values:
+        dev = abs(v - first)
+        if dev > worst or dev != dev:  # a NaN deviation stays, as in _compare_row
+            worst = dev
+    return DriftSummary(first, values[-1], worst, fit / denom if denom > 0 else 0.0)
 
 
 # --- comparison table ---------------------------------------------------------------------

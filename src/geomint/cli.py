@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage or config error, 2 integrator failure.
 from __future__ import annotations
 
 import argparse
-import errno
 import gc
 import os
 import sys
@@ -70,19 +69,15 @@ def _cmd_compare(args) -> int:
     configs = [
         bench.default_config(args.scenario, name, **kwargs) for name in integrators
     ]
-    if args.out:
-        # say before the first step what the open after the last would say
-        if os.path.isdir(args.out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-    table = bench.compare(configs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if not args.out:
+        print(bench.compare(configs))
+        return 0
+    # claimed before the first run, so that a path it cannot take fails first
+    with bench._claimed(args.out) as fd:
+        table = bench.compare(configs)
+        with open(fd, "w", encoding="utf-8", closefd=False) as fh:
             fh.write(table + "\n")
-        print(f"wrote comparison to {args.out}")
-    else:
-        print(table)
+    print(f"wrote comparison to {args.out}")
     return 0
 
 

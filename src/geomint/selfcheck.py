@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from . import odecore as ode
 from . import so3
 from .integrators import cotangent_theta_step
@@ -73,19 +71,15 @@ def _check_round_trips() -> bool:
 
 
 def _check_theta_endpoints() -> bool:
-    f1 = lambda q, v: np.asarray(v, dtype=float)
-    f2 = lambda q, v: -np.asarray(q, dtype=float)
-    q = np.array([1.0])
-    p = np.array([0.4])
+    f1 = lambda q, v: v
+    f2 = lambda q, v: -q
+    q, p = [1.0], [0.4]
     qa, pa = ode.symplectic_euler_a_step(f1, f2, q, p, 0.1)
     q0, p0 = cotangent_theta_step(f1, f2, q, p, 0.1, 0.0)
     qb, pb = ode.symplectic_euler_b_step(f1, f2, q, p, 0.1)
     q1, p1 = cotangent_theta_step(f1, f2, q, p, 0.1, 1.0)
     return (
-        float(qa[0]) == float(q0[0])
-        and float(pa[0]) == float(p0[0])
-        and float(qb[0]) == float(q1[0])
-        and float(pb[0]) == float(p1[0])
+        qa[0] == q0[0] and pa[0] == p0[0] and qb[0] == q1[0] and pb[0] == p1[0]
     )
 
 

@@ -885,7 +885,7 @@ class TestCli:
             for rec in iterate(config):
                 if rec.step == 3000:
                     # the temporary file beside --out already holds rows
-                    partial.extend(p.stat().st_size for p in tmp_path.glob("x.csv.*.tmp"))
+                    partial.extend(p.stat().st_size for p in tmp_path.glob("geomint-*.tmp"))
                     raise KeyboardInterrupt if interrupt else IntegratorFailure(
                         3000, ValueError("injected")
                     )
@@ -909,13 +909,14 @@ class TestCli:
             else:
                 assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == old
 
-    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory", "name_too_long"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_out_that_cannot_be_written_exits_before_the_first_step(
         self, tmp_path, capsys, monkeypatch, command, where
     ):
-        # --out in a missing directory, or naming a directory, fails as the
-        # write after the last step would, but before any step or fork
+        # --out in a missing directory, naming a directory, or with a name
+        # longer than a file name may be, fails as the write after the last
+        # step would, but before any step or fork
         iterate, started = bench.iter_scenario, []
 
         def records(config):
@@ -927,6 +928,9 @@ class TestCli:
         if where == "directory":
             out, message = tmp_path / "x.csv", "[Errno 21] Is a directory"
             out.mkdir()
+        elif where == "name_too_long":
+            out = tmp_path / ("x" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".csv")
+            message = "[Errno 36] File name too long"
         else:
             out, message = tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"
         argv = self._LONG_RUN if command == "run" else [
@@ -938,7 +942,23 @@ class TestCli:
         assert started == []
         # no output file and no temporary file, beside --out or in it
         assert list(tmp_path.iterdir()) == ([out] if where == "directory" else [])
-        assert where == "missing_directory" or list(out.iterdir()) == []
+        assert where != "directory" or list(out.iterdir()) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_as_long_as_a_file_name_may_be(self, tmp_path, command):
+        # the temporary file's name does not grow with --out, so any --out that
+        # open would take works; the file replaces an old one at --out
+        out = tmp_path / ("y" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
+        out.write_bytes(b"an earlier run\n")
+        argv = ["run", "--scenario", "harmonic", "--integrator", "rk4"] if command == "run" else [
+            "compare", "--scenario", "harmonic", "--integrators", "rk4,stormer_verlet"
+        ]
+        assert cli.main([*argv, "--steps", "5", "--out", str(out)]) == 0
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text(encoding="utf-8").startswith(
+            "step,t,q,v,energy\n" if command == "run" else "integrator "
+        )
         _assert_no_child_left()
 
     @pytest.mark.parametrize("death", ["killed", "file_too_large", "quits"])
@@ -1124,16 +1144,23 @@ class TestCli:
             assert "Gamma0" in err and "integrator failed" not in err
             assert not out.exists()
 
-    def test_compare_failure_exit_code(self, capsys):
+    def test_compare_failure_exit_code(self, tmp_path, capsys):
         # the worker's exception cannot be sent back; the parent raises it afresh
         argv = ["compare", "--scenario", "heavytop", "--integrators", "lp_exp,rkmk4",
                 "--dt", "0.5", "--steps", "300"]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", (
-            "error: integrator failed at step 10: rkmk4 increment |u| = 6.6254 >= 2*pi"
-            " = 6.28319; the dexpinv kernel is singular there\n"
-        ))
-        _assert_no_child_left()
+        out = tmp_path / "table.txt"
+        for extra in ([], ["--out", str(out)]):
+            if extra:
+                out.write_bytes(b"an earlier table\n")
+            assert cli.main([*argv, *extra]) == 2
+            assert capsys.readouterr() == ("", (
+                "error: integrator failed at step 10: rkmk4 increment |u| = 6.6254 >= 2*pi"
+                " = 6.28319; the dexpinv kernel is singular there\n"
+            ))
+            _assert_no_child_left()
+        # the table's temporary file is gone and the old table stays
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"an earlier table\n"
 
     def test_compare_to_file(self, tmp_path):
         out = tmp_path / "table.txt"
@@ -1260,6 +1287,13 @@ class TestCli:
                 for integrator in bench.COMPAT[scenario]:
                     bench._compare_row(bench.default_config(scenario, integrator, steps=3))
                     unloaded(f"{scenario} {integrator}")
+            # the drift summary and the check module stay in plain Python too
+            records = bench.run_scenario(bench.default_config("heavytop", "lp_exp", steps=3))
+            for column in bench.scenario_columns("heavytop")[2:]:
+                bench.summarize_drift(records, column)
+            unloaded("summarize_drift")
+            import geomint.selfcheck
+            unloaded("importing geomint.selfcheck")
             # a flat run does load numpy, so the checks above are not vacuous;
             # numpy itself imports inspect, but nothing imports dataclasses
             argv = ["run", "--scenario", "kepler", "--integrator", "stormer_verlet",
