@@ -558,11 +558,14 @@ def _claimed(path: str) -> Iterator[int]:
     """Yield the descriptor of a new file beside ``path``, created as ``open``
     creates one, which replaces ``path`` when the block ends without error.
 
-    A missing directory, a directory at ``path`` or a name too long raises an
-    OSError naming ``path`` before the block; the temporary name's length does
-    not depend on ``path``.  If the block raises, the temporary file is
-    removed and a file already at ``path`` stays as it was.
+    An empty name, a missing directory, a directory at ``path`` or a name too
+    long raises an OSError naming ``path`` before the block; the temporary
+    name's length does not depend on ``path``.  If the block raises, the
+    temporary file is removed and a file already at ``path`` stays as it was.
     """
+    if not path:
+        # as open("") refuses it; os.stat's refusal would read as a new file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
         mode = os.stat(path).st_mode  # any other error names path already
     except FileNotFoundError:

@@ -69,7 +69,7 @@ def _cmd_compare(args) -> int:
     configs = [
         bench.default_config(args.scenario, name, **kwargs) for name in integrators
     ]
-    if not args.out:
+    if args.out is None:
         print(bench.compare(configs))
         return 0
     # claimed before the first run, so that a path it cannot take fails first

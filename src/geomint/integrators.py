@@ -76,7 +76,6 @@ from .odecore import (
     SplitField,
     _row_values,
     _theta_solve,
-    implicit_disc_step,
     newton_solve,
     symplectic_euler_a_step,
     symplectic_euler_b_step,
@@ -97,25 +96,6 @@ from .so3 import (
     vec_scale,
 )
 from .value import Value, finite, store
-
-__all__ = [
-    "RigidBodyState",
-    "HeavyTopState",
-    "QuadrotorState",
-    "QuadrotorInput",
-    "RigidBodyParams",
-    "HeavyTopParams",
-    "QuadrotorParams",
-    "implicit_disc_step",
-    "cotangent_theta_step",
-    "lie_poisson_left_step",
-    "lie_poisson_right_step",
-    "heavytop_exp_step",
-    "heavytop_cay_step",
-    "quadrotor_step",
-    "quat_rk4_step",
-    "rkmk4_step",
-]
 
 
 # --- state types -----------------------------------------------------------------

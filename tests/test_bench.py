@@ -843,6 +843,12 @@ class TestCli:
                 "step 1: Singular matrix at x = "
                 "(1.10709e+07, 3.60853e-286, 1.13863e+09, 3.60853e-284)\n",
             ),
+            # a thrust near the largest float overflows the quadrotor's
+            # translation, and the state check names the field
+            (
+                "quadrotor_hover", "lp_exp", "0.01", ("F=1e308",),
+                "error: integrator failed at step 180: ValueError: q has non-finite entries\n",
+            ),
         ],
         ids=[
             "kepler_no_convergence", "kepler_stock_implicit_euler", "attitude_overflow", "pi_overflow", "exp_out_of_chart",
@@ -850,14 +856,14 @@ class TestCli:
             "rigidbody_exp_overflow_names_iterate", "rigidbody_exp_domain_names_iterate",
             "rigidbody_cayley_nan_names_first_iterate", "heavytop_exp_domain_names_iterate",
             "heavytop_cayley_newton_names_first_iterate", "heavytop_fallback_names_newton_iterate",
-            "flat_newton_names_singular_iterate",
+            "flat_newton_names_singular_iterate", "quadrotor_state_names_field",
         ],
     )
     def test_integrator_failure_exit_code(
         self, tmp_path, capsys, scenario, integrator, dt, params, cause
     ):
         out = tmp_path / "x.csv"
-        # every case fails by step 133, so no run reaches its last step
+        # every case fails by step 180, so no run reaches its last step
         code = cli.main(
             [
                 "run", "--scenario", scenario, "--integrator", integrator,
@@ -909,14 +915,16 @@ class TestCli:
             else:
                 assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == old
 
-    @pytest.mark.parametrize("where", ["missing_directory", "directory", "name_too_long"])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory", "name_too_long", "empty"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_out_that_cannot_be_written_exits_before_the_first_step(
         self, tmp_path, capsys, monkeypatch, command, where
     ):
-        # --out in a missing directory, naming a directory, or with a name
-        # longer than a file name may be, fails as the write after the last
-        # step would, but before any step or fork
+        # --out in a missing directory, naming a directory, with a name longer
+        # than a file name may be, or empty, fails as the write after the last
+        # step would, but before any step or fork; a temporary file made in the
+        # working directory would show in tmp_path
+        monkeypatch.chdir(tmp_path)
         iterate, started = bench.iter_scenario, []
 
         def records(config):
@@ -931,6 +939,8 @@ class TestCli:
         elif where == "name_too_long":
             out = tmp_path / ("x" * os.pathconf(tmp_path, "PC_NAME_MAX") + ".csv")
             message = "[Errno 36] File name too long"
+        elif where == "empty":
+            out, message = "", "[Errno 2] No such file or directory"
         else:
             out, message = tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"
         argv = self._LONG_RUN if command == "run" else [

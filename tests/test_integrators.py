@@ -40,7 +40,6 @@ from geomint.integrators import (
     cotangent_theta_step,
     heavytop_cay_step,
     heavytop_exp_step,
-    implicit_disc_step,
     lie_poisson_left_step,
     lie_poisson_right_step,
     quadrotor_step,
@@ -72,6 +71,7 @@ from geomint.odecore import (
     NEWTON_TOL,
     ButcherTableau,
     PartitionedTableau,
+    implicit_disc_step,
     implicit_euler_step,
     implicit_euler_tableau,
     newton_solve,
